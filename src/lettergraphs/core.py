@@ -9,11 +9,11 @@ when (w_i, w_j) is in the decoder. Pair order matters and always reads
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import Graph, are_isomorphic, is_matching, is_path
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, are_isomorphic, is_matching, is_path
 
 Word = tuple[int, ...]
 
@@ -37,17 +37,6 @@ class Decoder:
                 raise InvalidLetteringError(
                     f"decoder pair ({a},{b}) outside alphabet 1..{self.alphabet_size}"
                 )
-
-    @cached_property
-    def _rows(self) -> tuple[int, ...]:
-        # Dense k x k membership table, one bit-row per first component.
-        rows = [0] * (self.alphabet_size + 1)
-        for a, b in self.pairs:
-            rows[a] |= 1 << b
-        return tuple(rows)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
 
 
 @dataclass(frozen=True)
@@ -77,31 +66,35 @@ class Lettering:
 
 
 def decode(lettering: Lettering) -> Graph:
-    """Letter graph of the word: edge {i, j} for i < j iff (w_i, w_j) in D."""
+    """Letter graph of the word: edge {i, j} for i < j iff (w_i, w_j) in D.
+
+    Positions are grouped by letter, and each decoder pair whose letters
+    both occur joins every position of its first letter to the later
+    positions of its second. Work and memory follow the word length, the
+    decoder size and the edge count, never the alphabet size.
+    """
     w = lettering.word
-    n = len(w)
-    k = lettering.decoder.alphabet_size
-    pos = [0] * (k + 1)
-    for i, a in enumerate(w):
-        pos[a] |= 1 << i
-    rows = lettering.decoder._rows
-    succ = [0] * (k + 1)
-    for a in range(1, k + 1):
-        row = rows[a]
-        m = 0
-        while row:
-            low = row & -row
-            m |= pos[low.bit_length() - 1]
-            row ^= low
-        succ[a] = m
-    edges = set()
-    for i, a in enumerate(w):
-        later = succ[a] >> (i + 1)
-        while later:
-            low = later & -later
-            edges.add((i + 1, i + 1 + low.bit_length()))
-            later ^= low
-    return Graph(n, frozenset(edges))
+    pos: dict[int, list[int]] = {}
+    for i, a in enumerate(w, start=1):
+        if a in pos:
+            pos[a].append(i)
+        else:
+            pos[a] = [i]
+    edges = []
+    add = edges.append
+    for a, b in lettering.decoder.pairs:
+        if a not in pos or b not in pos:
+            continue
+        later = pos[b]
+        last = later[-1]
+        start = 0
+        for i in pos[a]:
+            if i >= last:  # no position of b follows this i or any later one
+                break
+            start = bisect_right(later, i, start)
+            for j in later[start:]:
+                add((i, j))
+    return Graph(len(w), frozenset(edges))
 
 
 def subword(word: Word, positions) -> Word:
@@ -159,8 +152,6 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
             for u, v in decoded.edges
         )
         return relabelled == target.edges
-    from .graphs import ISOMORPHISM_VERTEX_LIMIT
-
     if n <= ISOMORPHISM_VERTEX_LIMIT:
         return are_isomorphic(decoded, target)
     if is_path(target) is not None:

@@ -3,6 +3,13 @@
 Builders for the two structured families used throughout (paths and
 perfect matchings), linear-time recognizers for both, induced subgraphs,
 a small-graph isomorphism test, and edge-list / DOT serialization.
+
+A Graph carries one adjacency representation per regime, each built on
+first use. Small exact search (the solver, are_isomorphic, the audits)
+reads n-bit neighbor masks from adjacency_masks(); their size is quadratic
+in n, which is harmless below the search bounds. Long words (is_path,
+is_matching, degree) walk per-vertex neighbor lists, so recognizing a
+decoded path or matching stays linear in its size.
 """
 
 from __future__ import annotations
@@ -51,8 +58,17 @@ class Graph:
         """Neighbor bitmasks indexed by vertex: bit v of masks[u] marks edge u-v."""
         return self._adjacency
 
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        # Neighbor lists indexed by vertex, in no particular order.
+        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
+
     def degree(self, v: int) -> int:
-        return self._adjacency[v].bit_count()
+        return len(self._neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -84,36 +100,35 @@ def is_path(g: Graph) -> tuple[int, ...] | None:
         return (1,)
     if len(g.edges) != g.n - 1:
         return None
-    masks = g.adjacency_masks()
+    nbrs = g._neighbors
     ends = []
     for v in range(1, g.n + 1):
-        d = masks[v].bit_count()
+        d = len(nbrs[v])
         if d > 2:
             return None
         if d == 1:
             ends.append(v)
     if len(ends) != 2:
         return None
+    # Every degree is at most 2, so the walk from an end cannot revisit a
+    # vertex; it covers all n vertices unless it reaches the other end
+    # early, which leaves the remaining edges on disjoint cycles.
     order = [ends[0]]
-    seen = 1 << ends[0]
     prev, cur = 0, ends[0]
     for _ in range(g.n - 1):
-        cont = masks[cur] & ~(1 << prev) if prev else masks[cur]
-        if cont == 0 or cont & (cont - 1):
-            return None
-        nxt = cont.bit_length() - 1
-        if seen >> nxt & 1:
+        adj = nbrs[cur]
+        nxt = adj[0] if adj[0] != prev else adj[-1]
+        if nxt == prev:
             return None
         order.append(nxt)
-        seen |= 1 << nxt
         prev, cur = cur, nxt
     return tuple(order)
 
 
 def is_matching(g: Graph) -> bool:
     """True iff every vertex has degree exactly 1 (g is a perfect matching)."""
-    masks = g.adjacency_masks()
-    return all(masks[v].bit_count() == 1 for v in range(1, g.n + 1))
+    nbrs = g._neighbors
+    return all(len(nbrs[v]) == 1 for v in range(1, g.n + 1))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -37,6 +37,20 @@ def letterings(draw, max_n=8, max_k=4):
     return Lettering(word, Decoder(k, pairs))
 
 
+@st.composite
+def sparse_letterings(draw, max_n=12):
+    """Words over a few letters of a possibly huge alphabet, with decoder
+    pairs that may name letters the word never uses."""
+    k = draw(st.integers(1, 10**6))
+    used = draw(st.lists(st.integers(1, k), min_size=1, max_size=5, unique=True))
+    others = draw(st.lists(st.integers(1, k), max_size=3))
+    n = draw(st.integers(0, max_n))
+    word = tuple(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    letters = st.sampled_from(used + others)
+    pairs = frozenset(draw(st.sets(st.tuples(letters, letters), max_size=12)))
+    return Lettering(word, Decoder(k, pairs))
+
+
 def complement_graph(g: Graph) -> Graph:
     edges = frozenset(
         (u, v)
@@ -93,6 +107,18 @@ def test_unused_decoder_letters_do_not_count():
     lt = Lettering((1, 2), Decoder(9, frozenset({(7, 7)})))
     assert lt.alphabet_size == 2
     assert decode(lt).edges == frozenset()
+
+
+@given(st.one_of(letterings(), sparse_letterings()))
+def test_decode_matches_definition(lt):
+    w, pairs = lt.word, lt.decoder.pairs
+    expect = {
+        (i, j)
+        for i in range(1, len(w) + 1)
+        for j in range(i + 1, len(w) + 1)
+        if (w[i - 1], w[j - 1]) in pairs
+    }
+    assert decode(lt).edges == expect
 
 
 @given(letterings())

@@ -76,6 +76,28 @@ def test_is_path_rejects_non_paths():
     assert is_path(Graph(6, frozenset({(1, 2), (2, 3), (4, 5), (4, 6), (5, 6)}))) is None
 
 
+def test_is_path_beyond_isomorphism_bound():
+    n = 300
+    perm = list(range(1, n + 1))
+    random.Random(3).shuffle(perm)
+    g = Graph(n, frozenset((perm[i], perm[i + 1]) for i in range(n - 1)))
+    order = is_path(g)
+    assert order in (tuple(perm), tuple(reversed(perm)))
+    assert order[0] < order[-1]
+    # n-1 edges: a path on n-3 vertices plus a disjoint triangle
+    short = path_graph(n - 3).edges | {(n - 2, n - 1), (n - 1, n), (n - 2, n)}
+    assert len(short) == n - 1
+    assert is_path(Graph(n, short)) is None
+
+
+def test_is_matching_beyond_isomorphism_bound():
+    r = 150
+    assert is_matching(matching_graph(r))
+    # move edge {1, 2} to {1, 3}: same edge count, vertex 2 left bare
+    moved = (matching_graph(r).edges - {(1, 2)}) | {(1, 3)}
+    assert not is_matching(Graph(2 * r, moved))
+
+
 def test_is_matching():
     assert is_matching(matching_graph(4))
     assert is_matching(Graph(0))

@@ -16,7 +16,7 @@ from .constructions import path_lettering
 from .core import Decoder, Lettering, decode, format_lettering, parse_decoder_pairs, parse_word
 from .errors import CapabilityError
 from .graphs import Graph, matching_graph, parse_edge_list, path_graph, serialize_edge_list, to_dot
-from .solver import lettericity_exact
+from .solver import VERTEX_LIMIT, _check_size, lettericity_exact
 
 
 class _UsageError(Exception):
@@ -54,9 +54,12 @@ def _load_target(args) -> Graph:
     sources = [s for s in (args.graph, args.path, args.matching) if s is not None]
     if len(sources) != 1:
         raise _UsageError("give exactly one of: a graph file, --path N, --matching R")
+    # Check the bound before building a target whose size is read from argv.
     if args.path is not None:
+        _check_size(args.path, VERTEX_LIMIT)
         return path_graph(args.path)
     if args.matching is not None:
+        _check_size(2 * args.matching, VERTEX_LIMIT)
         return matching_graph(args.matching)
     with open(args.graph, encoding="utf-8") as fh:
         return parse_edge_list(fh.read())

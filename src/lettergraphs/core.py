@@ -172,7 +172,9 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
 #                D 2:1,3:2
 #
 # Empty word / decoder lines are written bare ("w", "D"). On input the word
-# payload may also be a compact digit string (e.g. 2132132) when k <= 9.
+# and decoder payloads go through parse_word and parse_decoder_pairs, so a
+# word list may end with a comma and the compact digit form (e.g. 2132132)
+# is read only when k <= 9.
 
 
 def format_lettering(lettering: Lettering) -> str:
@@ -210,60 +212,39 @@ def parse_lettering(text: str) -> Lettering:
         k = int(kp)
     except ValueError:
         raise ParseError(f"alphabet size must be an integer, got {kp!r}", line=1) from None
-    wp = _line_payload(lines, 2, "w")
-    try:
-        if not wp:
-            word: Word = ()
-        elif "," in wp:
-            word = tuple(int(s) for s in wp.split(","))
-        elif k <= 9 and wp.isdigit() and len(wp) >= 2:
-            word = tuple(int(c) for c in wp)
-        else:
-            word = (int(wp),)
-    except ValueError:
-        raise ParseError(f"malformed word {wp!r}", line=2) from None
-    dp = _line_payload(lines, 3, "D")
-    pairs = set()
-    if dp:
-        for item in dp.split(","):
-            a, sep, b = item.partition(":")
-            if not sep:
-                raise ParseError(f"decoder pair {item!r} must look like a:b", line=3)
-            try:
-                pairs.add((int(a), int(b)))
-            except ValueError:
-                raise ParseError(f"malformed decoder pair {item!r}", line=3) from None
-    return Lettering(word, Decoder(k, frozenset(pairs)))
+    word = parse_word(_line_payload(lines, 2, "w"), compact=k <= 9, line=2)
+    pairs = parse_decoder_pairs(_line_payload(lines, 3, "D"), line=3)
+    return Lettering(word, Decoder(k, pairs))
 
 
-def parse_word(text: str) -> Word:
-    """Word from CLI text: comma-separated letters, or a compact digit
-    string (letters 1..9). A lone multi-digit token with no comma reads as
-    compact digits; append a trailing comma to force the list reading."""
+def parse_word(text: str, *, compact: bool = True, line: int | None = None) -> Word:
+    """Word from text: comma-separated letters (a trailing comma is allowed),
+    or, with compact set, a string of digits 1..9 read one letter each. A
+    lone multi-digit token such as 12 reads as compact digits when compact
+    is set and as one letter otherwise; a trailing comma (12,) forces the
+    one-letter reading. Errors carry the given line number."""
     s = text.strip()
     if not s:
         return ()
     if "," in s:
         parts = s.split(",")
-        if parts and parts[-1] == "":
+        if parts[-1] == "":
             parts.pop()
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"malformed word {text!r}") from None
-    if s.isdigit() and len(s) >= 2:
-        word = tuple(int(c) for c in s)
-        if 0 in word:
-            raise ParseError("compact digit words use letters 1..9, got 0")
-        return word
+    elif compact and s.isdigit() and len(s) >= 2:
+        if "0" in s:
+            raise ParseError("compact digit words use letters 1..9, got 0", line=line)
+        parts = list(s)
+    else:
+        parts = [s]
     try:
-        return (int(s),)
+        return tuple(int(p) for p in parts)
     except ValueError:
-        raise ParseError(f"malformed word {text!r}") from None
+        raise ParseError(f"malformed word {text!r}", line=line) from None
 
 
-def parse_decoder_pairs(text: str) -> frozenset[tuple[int, int]]:
-    """Decoder pairs from CLI text of the form 'a:b,c:d' (empty allowed)."""
+def parse_decoder_pairs(text: str, *, line: int | None = None) -> frozenset[tuple[int, int]]:
+    """Decoder pairs from text of the form 'a:b,c:d' (empty allowed).
+    Errors carry the given line number."""
     s = text.strip()
     if not s:
         return frozenset()
@@ -271,9 +252,9 @@ def parse_decoder_pairs(text: str) -> frozenset[tuple[int, int]]:
     for item in s.split(","):
         a, sep, b = item.partition(":")
         if not sep:
-            raise ParseError(f"decoder pair {item!r} must look like a:b")
+            raise ParseError(f"decoder pair {item!r} must look like a:b", line=line)
         try:
             pairs.add((int(a), int(b)))
         except ValueError:
-            raise ParseError(f"malformed decoder pair {item!r}") from None
+            raise ParseError(f"malformed decoder pair {item!r}", line=line) from None
     return frozenset(pairs)

@@ -123,13 +123,15 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit) -> None:
     extend(0, 0, 0)
 
 
+def _check_size(n: int, limit: int) -> None:
+    if n > limit:
+        raise CapabilityError(f"exact search is bounded at {limit} vertices, got {n}")
+
+
 def _check_graph(g: Graph, limit: int) -> None:
     if g.n < 1:
         raise ValueError("solver needs a graph with at least one vertex")
-    if g.n > limit:
-        raise CapabilityError(
-            f"exact search is bounded at {limit} vertices, got {g.n}"
-        )
+    _check_size(g.n, limit)
 
 
 def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:

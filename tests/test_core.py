@@ -260,6 +260,8 @@ def test_parse_lettering_multi_digit_letters():
     # k > 9 disables the compact reading: a bare 12 is the letter twelve
     one = parse_lettering("k 12\nw 12\nD")
     assert one.word == (12,)
+    # the CLI's trailing comma means the same in a file
+    assert parse_lettering("k 12\nw 12,\nD").word == (12,)
 
 
 @given(letterings())
@@ -283,6 +285,10 @@ def test_parse_lettering_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_lettering("k 3\nw 1")
     assert e.value.line == 3
+    # compact digits forbid 0, as on the CLI
+    with pytest.raises(ParseError) as e:
+        parse_lettering("k 3\nw 10\nD")
+    assert e.value.line == 2
 
 
 def test_parse_word_forms():
@@ -291,6 +297,7 @@ def test_parse_word_forms():
     assert parse_word("7") == (7,)
     assert parse_word("12") == (1, 2)
     assert parse_word("12,") == (12,)
+    assert parse_word("12", compact=False) == (12,)
     assert parse_word("") == ()
     with pytest.raises(ParseError):
         parse_word("1,x")

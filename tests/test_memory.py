@@ -5,6 +5,7 @@ tracemalloc, so the tests do not depend on machine speed."""
 import tracemalloc
 
 from lettergraphs import Decoder, Lettering, decode, path_lettering
+from lettergraphs.cli import main
 
 
 def peak_bytes(fn, *args) -> int:
@@ -26,3 +27,13 @@ def test_path_lettering_memory_grows_linearly():
     large = peak_bytes(path_lettering, 16000)
     # Doubling n doubles a linear peak and quadruples a quadratic one.
     assert large < 2.5 * small
+
+
+def test_over_bound_cli_target_is_not_built(capsys):
+    # A million-vertex target would take hundreds of MB; the bound is
+    # checked on the requested size before any graph exists.
+    for argv in (["lettericity", "--path", "1000000"], ["lettericity", "--matching", "500000"]):
+        codes = []
+        assert peak_bytes(lambda: codes.append(main(argv))) < 2_000_000
+        assert codes == [2]
+        assert "bounded at 12 vertices, got 1000000" in capsys.readouterr().err

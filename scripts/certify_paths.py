@@ -14,6 +14,7 @@ import argparse
 import time
 
 from lettergraphs import (
+    VERTEX_LIMIT,
     lettericity_exact,
     path_graph,
     path_lettericity,
@@ -25,7 +26,7 @@ from lettergraphs import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-construct", type=int, default=200)
-    ap.add_argument("--max-exact", type=int, default=10)
+    ap.add_argument("--max-exact", type=int, default=VERTEX_LIMIT)
     args = ap.parse_args()
 
     print(f"{'n':>4} {'formula':>8} {'construct':>10} {'exact':>6} {'time':>8}")

@@ -47,7 +47,10 @@ class Lettering:
     decoder: Decoder
 
     def __post_init__(self):
-        w = tuple(int(a) for a in self.word)
+        # From a list, not a generator: tuple() resizes a tuple built from a
+        # generator, so it never reuses a freed tuple of its length but
+        # joins that length's free list when freed, which then fills up.
+        w = tuple([int(a) for a in self.word])
         object.__setattr__(self, "word", w)
         k = self.decoder.alphabet_size
         for i, a in enumerate(w, start=1):
@@ -144,7 +147,7 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
         raise ValueError(f"word length {n} != vertex count {target.n}")
     decoded = decode(lettering)
     if mapping is not None:
-        m = tuple(int(v) for v in mapping)
+        m = tuple([int(v) for v in mapping])  # a list, as in Lettering
         if sorted(m) != list(range(1, n + 1)):
             raise ValueError("mapping must be a bijection onto vertices 1..n")
         relabelled = frozenset(

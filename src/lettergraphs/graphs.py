@@ -34,17 +34,23 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        norm = set()
-        for e in self.edges:
+        edges = self.edges if type(self.edges) is frozenset else tuple(self.edges)
+        # A frozenset of (u, v) tuples with u < v is kept as given: decode
+        # passes one for every decoded graph, and a copy would double it.
+        keep = type(edges) is frozenset
+        for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if u > v:
                 u, v = v, u
+                keep = False
             if u < 1 or v > self.n:
                 raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{self.n}")
-            norm.add((u, v))
-        object.__setattr__(self, "edges", frozenset(norm))
+            keep = keep and type(e) is tuple
+        if not keep:
+            edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def _adjacency(self) -> tuple[int, ...]:

@@ -11,6 +11,16 @@ quotients away alphabet relabelling from both decision and enumeration.
 At each depth candidate vertices are tried in ascending label order and
 letters in ascending order, so the first witness found -- and therefore
 every reported result -- is deterministic.
+
+The decision search (is_k_letterable, and so lettericity_exact) is
+backtracking pruned by a partition-first completion test: before the DFS
+descends into a child, _completable decides exactly whether that prefix
+extends to a full lettering, using Petkovsek's structural view of letter
+graphs (letter classes that are cliques or independent sets, class pairs
+that are complete, empty or ordered one way, and an acyclic precedence).
+Only subtrees without a full assignment are cut, so the first witness is
+the one the plain search finds. Enumeration visits every leaf anyway and
+does not call the test, which there cost more than it saved.
 """
 
 from __future__ import annotations
@@ -53,9 +63,151 @@ def _make_witness(order, letters, used, forced) -> LetteringWitness:
     return LetteringWitness(lettering, tuple(order))
 
 
-def _search(g: Graph, k: int, exact_alphabet: bool, visit) -> None:
+# Pair states in _completable for an ordered pair of classes (a, b): no
+# cross pair seen yet, all non-edges so far, all edges so far, or oriented:
+# x in a ~ y in b iff x comes first (_FIRST) or iff y comes first (_SECOND).
+_UNSEEN, _NONEDGE, _EDGE, _FIRST, _SECOND = range(5)
+
+
+def _before(reach: list[int], n: int, xs: int, ys: int) -> bool:
+    """Require every vertex in mask xs to precede every vertex in mask ys.
+    reach[u] is the transitively closed mask of vertices that must come
+    after u; returns False, with reach partly updated, on a cycle."""
+    if not xs or not ys:
+        return True
+    desc = ys
+    for y in range(1, n + 1):
+        if ys >> y & 1:
+            desc |= reach[y]
+    if desc & xs:
+        return False
+    for u in range(1, n + 1):
+        if xs >> u & 1 or reach[u] & xs:
+            reach[u] |= desc
+    return True
+
+
+def _face(reach: list[int], n: int, x: int, ax: int, others: int, state: int) -> bool:
+    """Order x against the vertices in mask others, which sit across an
+    oriented class pair in the given state; ax is x's neighbor mask."""
+    xb = 1 << x
+    nbrs = ax & others
+    if state == _FIRST:
+        return _before(reach, n, xb, nbrs) and _before(reach, n, others & ~nbrs, xb)
+    return _before(reach, n, nbrs, xb) and _before(reach, n, xb, others & ~nbrs)
+
+
+class _Completion:
+    """The state of one _completable question: the prefix, the vertex
+    sequence to assign (prefix first), the vertex mask of each class and
+    the state of each ordered class pair (pair[a * w + b])."""
+
+    def __init__(self, adj, n: int, k: int, order_prefix, letters_prefix):
+        self.adj, self.n, self.k, self.w = adj, n, k, k + 1
+        self.letters_prefix = letters_prefix
+        placed = set(order_prefix)
+        self.seq = list(order_prefix) + [v for v in range(1, n + 1) if v not in placed]
+        self.cls = [0] * (k + 1)
+        self.pair = [_UNSEEN] * (k + 1) ** 2
+
+    def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
+        adj, n, w, pair = self.adj, self.n, self.w, self.pair
+        pair[c * w + b] = state
+        pair[b * w + c] = _FIRST + _SECOND - state
+        cm, bm = self.cls[c], self.cls[b]
+        return all(_face(reach, n, x, adj[x], bm, state) for x in range(1, n + 1) if cm >> x & 1)
+
+    def branch(self, i: int, m: int, mixed: list[tuple[int, int]], reach: list[int]) -> bool:
+        # Both orientations of each class pair that just became mixed.
+        if not mixed:
+            return self.place(i + 1, m, reach)
+        c, b = mixed[0]
+        w, pair = self.w, self.pair
+        saved = pair[c * w + b]
+        for state in (_FIRST, _SECOND):
+            r = reach[:]
+            if self.orient(c, b, state, r) and self.branch(i, m, mixed[1:], r):
+                return True
+        pair[c * w + b] = pair[b * w + c] = saved
+        return False
+
+    def place(self, i: int, m: int, reach: list[int]) -> bool:
+        adj, n, w, cls, pair = self.adj, self.n, self.w, self.cls, self.pair
+        if i == n:
+            return True  # every vertex has a class and no cycle was closed
+        v = self.seq[i]
+        av = adj[v]
+        if i < len(self.letters_prefix):
+            choices = (self.letters_prefix[i],)
+        else:
+            choices = range(1, min(m + 1, self.k) + 1)
+        for c in choices:
+            cm = cls[c]
+            inside = av & cm
+            if inside and inside != cm:
+                continue  # a class is a clique or an independent set,
+            if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(inside):
+                continue  # and v must join it as one
+            r = reach[:]
+            mixed = []
+            seen = []
+            ok = True
+            for b in range(1, m + 1):
+                bm = cls[b]
+                if b == c or not bm:
+                    continue
+                nbrs = av & bm
+                state = pair[c * w + b]
+                if state >= _FIRST:
+                    ok = _face(r, n, v, av, bm, state)
+                    if not ok:
+                        break
+                elif (nbrs and nbrs != bm) or state == (_NONEDGE if nbrs else _EDGE):
+                    mixed.append((c, b))
+                elif state == _UNSEEN:
+                    pair[c * w + b] = pair[b * w + c] = _EDGE if nbrs else _NONEDGE
+                    seen.append(b)
+            if ok:
+                cls[c] = cm | 1 << v
+                if self.branch(i, max(m, c), mixed, r):
+                    return True
+                cls[c] = cm
+            for b in seen:
+                pair[c * w + b] = pair[b * w + c] = _UNSEEN
+        return False
+
+
+def _completable(adj, n: int, k: int, order_prefix, letters_prefix) -> bool:
+    """Whether the prefix (vertex order_prefix[i] at position i+1 with
+    letter letters_prefix[i]) extends to a lettering of all n vertices over
+    at most k letters.
+
+    Decided on partitions: a lettering exists iff the vertices split into
+    at most k letter classes, each a clique or an independent set, such that
+    every pair of classes is complete, empty, or oriented (adjacency decided
+    by which vertex comes first), and the precedence the orientations
+    induce is acyclic together with the prefix placed first in its order.
+    The prefix vertices keep their letters; each other vertex joins an
+    existing class or the next fresh one. A class pair's orientation is
+    branched on when the pair first shows both an edge and a non-edge, and
+    precedence is kept transitively closed as bitmasks, so a cycle prunes
+    at once. All state is rebuilt per call, and none of it forms reference
+    cycles, so it is freed on return rather than by the cycle collector.
+    """
+    reach = [0] * (n + 1)
+    after = (1 << (n + 1)) - 2
+    for v in order_prefix:
+        after &= ~(1 << v)
+        reach[v] = after  # a placed vertex precedes every later one
+    return _Completion(adj, n, k, order_prefix, letters_prefix).place(0, 0, reach)
+
+
+def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) -> None:
     """Run the DFS; visit(order, letters, used, forced) is called at every
-    full assignment and returns False to stop the search."""
+    full assignment and returns False to stop the search. With prune, every
+    child is first checked by _completable and skipped when no full
+    assignment lies below it; that removes only dead subtrees, so the
+    witnesses found, and their order, do not change."""
     n = g.n
     adj = g.adjacency_masks()
     order = [0] * n
@@ -112,7 +264,11 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit) -> None:
                 order[depth] = v
                 letters[depth] = c
                 group[c] |= vbit
-                keep_going = extend(depth + 1, used + (c > used), placed | vbit)
+                # A full assignment that got this far is a lettering already.
+                dead = prune and depth + 1 < n and not _completable(
+                    adj, n, k, order[: depth + 1], letters[: depth + 1]
+                )
+                keep_going = dead or extend(depth + 1, used + (c > used), placed | vbit)
                 group[c] &= ~vbit
                 for fa in changed:
                     fa[c] = -1
@@ -142,13 +298,14 @@ def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return None  # a nonempty graph needs at least one letter
+    k = min(k, g.n)  # no lettering uses more letters than positions
     found: list[LetteringWitness] = []
 
     def visit(order, letters, used, forced):
         found.append(_make_witness(order, letters, used, forced))
         return False
 
-    _search(g, k, False, visit)
+    _search(g, k, False, visit, prune=True)
     return found[0] if found else None
 
 

@@ -4,7 +4,15 @@ tracemalloc, so the tests do not depend on machine speed."""
 
 import tracemalloc
 
-from lettergraphs import Decoder, Lettering, decode, path_lettering
+from lettergraphs import (
+    Decoder,
+    Graph,
+    Lettering,
+    decode,
+    is_k_letterable,
+    path_graph,
+    path_lettering,
+)
 from lettergraphs.cli import main
 
 
@@ -20,6 +28,17 @@ def peak_bytes(fn, *args) -> int:
 def test_decode_memory_ignores_alphabet_size():
     lt = Lettering((1, 2), Decoder(10**6, frozenset({(1, 2)})))
     assert peak_bytes(decode, lt) < 100_000
+
+
+def test_solver_memory_ignores_alphabet_size():
+    assert peak_bytes(is_k_letterable, path_graph(3), 2000) < 1_000_000
+
+
+def test_graph_keeps_a_normalized_edge_set():
+    # decode hands Graph a frozenset of (u, v) tuples with u < v; building
+    # the graph must not copy it.
+    edges = frozenset((i, i + 1) for i in range(1, 100_000))
+    assert peak_bytes(Graph, 100_000, edges) < 100_000
 
 
 def test_path_lettering_memory_grows_linearly():

@@ -16,6 +16,7 @@ from lettergraphs import (
     matching_graph,
     path_graph,
     path_lettericity,
+    solver,
     verify_lettering,
 )
 from naive_oracle import all_graphs_up_to_iso, oracle_lettericity
@@ -35,6 +36,8 @@ def test_decision_examples():
     assert is_k_letterable(Graph(2, frozenset({(1, 2)})), 1) is not None
     assert is_k_letterable(matching_graph(2), 1) is None
     assert is_k_letterable(path_graph(3), 0) is None
+    # k beyond the vertex count changes nothing
+    assert is_k_letterable(path_graph(3), 2000) == is_k_letterable(path_graph(3), 3)
 
 
 def test_single_vertex():
@@ -186,3 +189,55 @@ def test_induced_subgraphs_never_need_more_letters():
         for code in range(1, 1 << 6):
             vs = [v for v in range(1, 7) if code >> (v - 1) & 1]
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
+
+
+def test_completion_test_is_exact_on_every_visited_prefix(monkeypatch):
+    # A recorder that never prunes stands in for the completion test, so
+    # _search walks its whole unpruned tree; a prefix is completable iff
+    # some full assignment reached lies below it.
+    completable = solver._completable
+    visited = []
+
+    def record(adj, n, k, order, letters):
+        visited.append((order, letters))
+        return True
+
+    monkeypatch.setattr(solver, "_completable", record)
+    dead = 0
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            adj = g.adjacency_masks()
+            for k in range(1, n + 1):
+                visited.clear()
+                below = set()
+
+                def leaf(order, letters, used, forced):
+                    for d in range(1, n + 1):
+                        below.add((tuple(order[:d]), tuple(letters[:d])))
+                    return True
+
+                solver._search(g, k, False, leaf, prune=True)
+                for order, letters in visited:
+                    expected = (tuple(order), tuple(letters)) in below
+                    got = completable(adj, n, k, order, letters)
+                    assert got == expected, (g, k, order, letters)
+                    dead += not expected
+    assert dead > 0
+
+
+def _first_assignment(g, k, prune):
+    found = []
+
+    def visit(order, letters, used, forced):
+        found.append((tuple(order), tuple(letters)))
+        return False
+
+    solver._search(g, k, False, visit, prune=prune)
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=7), st.integers(1, 7))
+def test_pruning_keeps_the_first_witness(g, k):
+    k = min(k, g.n)
+    assert _first_assignment(g, k, True) == _first_assignment(g, k, False)

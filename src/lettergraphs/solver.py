@@ -12,15 +12,22 @@ At each depth candidate vertices are tried in ascending label order and
 letters in ascending order, so the first witness found -- and therefore
 every reported result -- is deterministic.
 
-The decision search (is_k_letterable, and so lettericity_exact) is
-backtracking pruned by a partition-first completion test: before the DFS
-descends into a child, _completable decides exactly whether that prefix
-extends to a full lettering, using Petkovsek's structural view of letter
-graphs (letter classes that are cliques or independent sets, class pairs
-that are complete, empty or ordered one way, and an acyclic precedence).
-Only subtrees without a full assignment are cut, so the first witness is
-the one the plain search finds. Enumeration visits every leaf anyway and
-does not call the test, which there cost more than it saved.
+The decision search (is_k_letterable, and so lettericity_exact) rests on
+a partition-first completion test: _completable decides exactly whether a
+placed prefix extends to a full lettering, using Petkovsek's structural
+view of letter graphs (letter classes that are cliques or independent
+sets, class pairs that are complete, empty or ordered one way, and an
+acyclic precedence). Each k is decided first by one such test on the empty
+prefix at the root; an infeasible k costs that one call. For a feasible k
+the backtracking runs to find the witness, and before it descends into a
+child the test cuts the child if no full assignment lies below it. Only
+dead subtrees are cut, so the first witness is the one the plain search
+finds. Enumeration visits every leaf anyway and does not call the test,
+which there cost more than it saved.
+
+The public entry points check the vertex bound; the private cores
+_first_witness and _lettericity do not, so certification sweeps can run
+past it.
 """
 
 from __future__ import annotations
@@ -276,7 +283,10 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
                     return False
         return True
 
-    extend(0, 0, 0)
+    try:
+        extend(0, 0, 0)
+    finally:
+        del extend  # the closure refers to itself; free it on return
 
 
 def _check_size(n: int, limit: int) -> None:
@@ -290,15 +300,10 @@ def _check_graph(g: Graph, limit: int) -> None:
     _check_size(g.n, limit)
 
 
-def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
-    """First witness exhibiting g as a letter graph over at most k letters,
-    or None if there is none."""
-    _check_graph(g, VERTEX_LIMIT)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return None  # a nonempty graph needs at least one letter
-    k = min(k, g.n)  # no lettering uses more letters than positions
+def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
+    """is_k_letterable without the vertex bound, for 0 <= k <= g.n."""
+    if not _completable(g.adjacency_masks(), g.n, k, [], []):
+        return None  # one exact test at the root decides an infeasible k
     found: list[LetteringWitness] = []
 
     def visit(order, letters, used, forced):
@@ -306,18 +311,34 @@ def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
         return False
 
     _search(g, k, False, visit, prune=True)
-    return found[0] if found else None
+    return found[0]
+
+
+def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:
+    """lettericity_exact without the vertex bound."""
+    for k in range(1, g.n + 1):
+        witness = _first_witness(g, k)
+        if witness is not None:
+            return k, witness
+    raise RuntimeError("unreachable: every graph on n vertices is n-letterable")
+
+
+def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
+    """First witness exhibiting g as a letter graph over at most k letters,
+    or None if there is none."""
+    _check_graph(g, VERTEX_LIMIT)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    # No lettering uses more letters than positions. At k = 0 the root
+    # test says no, since a nonempty graph needs a letter.
+    return _first_witness(g, min(k, g.n))
 
 
 def lettericity_exact(g: Graph) -> tuple[int, LetteringWitness]:
     """Minimum alphabet size for g, with a witness. Tries k = 1, 2, ...;
     always terminates because k = n works (one letter per vertex)."""
     _check_graph(g, VERTEX_LIMIT)
-    for k in range(1, g.n + 1):
-        witness = is_k_letterable(g, k)
-        if witness is not None:
-            return k, witness
-    raise RuntimeError("unreachable: every graph on n vertices is n-letterable")
+    return _lettericity(g)
 
 
 def enumerate_letterings(g: Graph, k: int, limit: int | None = None) -> EnumerationResult:

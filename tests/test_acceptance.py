@@ -31,6 +31,7 @@ from lettergraphs import (
     subword,
     verify_lettering,
 )
+from lettergraphs.solver import _lettericity
 from naive_oracle import all_graphs_up_to_iso, oracle_lettericity
 
 CASES_PER_PROPERTY = 10_000
@@ -54,26 +55,27 @@ def test_criterion_1_path_construction_sweep():
 
 
 def test_criterion_2_exact_path_lettericity():
+    # The unbounded core certifies past the interactive VERTEX_LIMIT.
     t0 = time.time()
-    for n in range(3, 13):
-        k, w = lettericity_exact(path_graph(n))
+    for n in range(3, 21):
+        k, w = _lettericity(path_graph(n))
         assert k == (n + 4) // 3, f"P_{n}: solver {k}"
         assert verify_lettering(w.lettering, path_graph(n), w.vertex_of_position)
     assert is_k_letterable(path_graph(7), 2) is None
     elapsed = time.time() - t0
     assert elapsed < 300, f"exact sweep took {elapsed:.1f}s, budget 300s"
-    _report(2, "exact solver matches floor((n+4)/3) for P_3..P_12; P_7 needs 3 letters", t0)
+    _report(2, "exact solver matches floor((n+4)/3) for P_3..P_20; P_7 needs 3 letters", t0)
 
 
 def test_criterion_3_matching_lettericity():
     t0 = time.time()
-    for r in range(1, 7):
-        k, w = lettericity_exact(matching_graph(r))
+    for r in range(1, 8):
+        k, w = _lettericity(matching_graph(r))
         assert k == r, f"{r}K_2: solver {k}"
         assert verify_lettering(w.lettering, matching_graph(r), w.vertex_of_position)
     elapsed = time.time() - t0
     assert elapsed < 60, f"matching sweep took {elapsed:.1f}s, budget 60s"
-    _report(3, "lettericity of rK_2 is r for r = 1..6", t0)
+    _report(3, "lettericity of rK_2 is r for r = 1..7", t0)
 
 
 def test_criterion_4_minimum_matching_letterings_pair_edges():

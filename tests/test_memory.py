@@ -2,6 +2,7 @@
 from the input such as the alphabet size. Peaks are measured with
 tracemalloc, so the tests do not depend on machine speed."""
 
+import gc
 import tracemalloc
 
 from lettergraphs import (
@@ -9,7 +10,10 @@ from lettergraphs import (
     Graph,
     Lettering,
     decode,
+    enumerate_letterings,
     is_k_letterable,
+    lettericity_exact,
+    matching_graph,
     path_graph,
     path_lettering,
 )
@@ -32,6 +36,20 @@ def test_decode_memory_ignores_alphabet_size():
 
 def test_solver_memory_ignores_alphabet_size():
     assert peak_bytes(is_k_letterable, path_graph(3), 2000) < 1_000_000
+
+
+def test_search_leaves_no_reference_cycles():
+    # Everything the solver allocates is freed on return, by reference
+    # counting, so the cycle collector finds nothing left behind.
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(3, 9):
+            lettericity_exact(path_graph(n))
+        enumerate_letterings(matching_graph(2), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_graph_keeps_a_normalized_edge_set():

@@ -241,3 +241,32 @@ def _first_assignment(g, k, prune):
 def test_pruning_keeps_the_first_witness(g, k):
     k = min(k, g.n)
     assert _first_assignment(g, k, True) == _first_assignment(g, k, False)
+
+
+def test_root_completion_test_decides_k():
+    # The empty prefix: _completable at the root is True iff the unpruned
+    # search reaches a full assignment, for k = 0 too.
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            adj = g.adjacency_masks()
+            for k in range(n + 1):
+                expected = bool(_first_assignment(g, k, False))
+                assert solver._completable(adj, n, k, [], []) == expected, (g, k)
+
+
+def test_infeasible_k_costs_one_completion_call(monkeypatch):
+    completable = solver._completable
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return completable(*args)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("an infeasible k entered the search")
+
+    monkeypatch.setattr(solver, "_completable", counted)
+    monkeypatch.setattr(solver, "_search", no_search)
+    assert is_k_letterable(path_graph(7), 2) is None
+    assert is_k_letterable(matching_graph(4), 3) is None
+    assert len(calls) == 2

@@ -1,29 +1,33 @@
 #!/usr/bin/env python3
 """Survey of matching letterings at desk scale.
 
-For r = 1..3 this enumerates every lettering of rK_2 at each feasible
-alphabet size, reports letter multiplicities and edge pairing, and runs the
-independent word census under both alphabet conventions.
+For r = 1..5 this enumerates every lettering of rK_2 at each feasible
+alphabet size and reports letter multiplicities and edge pairing, through
+the audit's unbounded core (the public audit stops at r = 3). For r <= 3 it
+also runs the independent word census under both alphabet conventions.
 """
 
 from __future__ import annotations
 
 import math
 
-from lettergraphs import audit_matching_letterings, matching_word_census
+from lettergraphs import matching_word_census
+from lettergraphs.audits import AUDIT_MAX_PAIRS, _audit_matching_letterings
 
 
 def main() -> int:
-    for r in (1, 2, 3):
+    for r in range(1, 6):
         print(f"== rK_2 with r={r} ==")
         for k in range(r, 2 * r + 1):
-            rep = audit_matching_letterings(r, k)
+            rep = _audit_matching_letterings(r, k)
             print(
                 f"  k={k}: witnesses={rep.witness_count:>3} "
                 f"max-letter-occurrences={rep.max_letter_occurrences} "
                 f"edge-paired-fraction={rep.edge_paired_fraction} "
                 f"ok={rep.ok()}"
             )
+        if r > AUDIT_MAX_PAIRS:
+            continue
         census = matching_word_census(r)
         print(
             f"  census: fixed-alphabet={census.fixed_alphabet_count} "

@@ -81,6 +81,12 @@ def audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
         raise ValueError(f"an r-edge matching needs at least r letters, got k={k}")
     if k > 2 * r:
         raise ValueError(f"k cannot exceed the vertex count {2 * r}, got {k}")
+    return _audit_matching_letterings(r, k)
+
+
+def _audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
+    """audit_matching_letterings without the AUDIT_MAX_PAIRS bound, for
+    r <= k <= 2r; the enumeration's own vertex bound still holds."""
     result = enumerate_letterings(matching_graph(r), k)
     max_occ = 0
     paired = 0

@@ -165,34 +165,47 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     n = g.n
     gm, hm = g.adjacency_masks(), h.adjacency_masks()
     gdeg = [gm[v].bit_count() for v in range(n + 1)]
-    hdeg = [hm[v].bit_count() for v in range(n + 1)]
-    if sorted(gdeg[1:]) != sorted(hdeg[1:]):
+    if sorted(gdeg[1:]) != sorted(hm[v].bit_count() for v in range(1, n + 1)):
         return False
     # Most-constrained-first: high degree vertices get mapped early.
     order = sorted(range(1, n + 1), key=lambda v: (-gdeg[v], v))
-    mapping = [0] * (n + 1)
+    return extend_isomorphism(gm, hm, order, [0] * (n + 1))
 
-    def extend(depth: int, used: int) -> bool:
-        if depth == n:
-            return True
-        v = order[depth]
-        row = gm[v]
-        for w in range(1, n + 1):
-            if used >> w & 1 or hdeg[w] != gdeg[v]:
-                continue
-            ok = True
-            for e in range(depth):
-                u = order[e]
-                if (row >> u & 1) != (hm[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                if extend(depth + 1, used | (1 << w)):
-                    return True
-        return False
 
-    return extend(0, 0)
+def extend_isomorphism(gm, hm, order, mapping, depth: int = 0, used: int = 0) -> bool:
+    """Backtracking behind are_isomorphic and the solver's automorphism
+    test: extend mapping (mapping[v] is v's image, 0 while open) to an
+    isomorphism between the graphs with neighbor masks gm and hm.
+
+    The vertices order[:depth] are mapped and used is the mask of their
+    images. The rest are mapped in order; a vertex whose image is already
+    set in mapping keeps it, so a partial map (say, one that fixes some
+    vertices and sends u to v) must list its preset vertices first. Each
+    image must match its vertex's degree and its adjacency to every vertex
+    mapped before it. On success mapping holds the isomorphism; on failure
+    it is as given. A plain recursive function, so it leaves no reference
+    cycle behind.
+    """
+    if depth == len(order):
+        return True
+    v = order[depth]
+    row = gm[v]
+    degree = row.bit_count()
+    preset = mapping[v]
+    for w in (preset,) if preset else range(1, len(hm)):
+        if used >> w & 1 or hm[w].bit_count() != degree:
+            continue
+        hw = hm[w]
+        for e in range(depth):
+            u = order[e]
+            if (row >> u & 1) != (hw >> mapping[u] & 1):
+                break
+        else:
+            mapping[v] = w
+            if extend_isomorphism(gm, hm, order, mapping, depth + 1, used | 1 << w):
+                return True
+    mapping[v] = preset
+    return False
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -22,8 +22,12 @@ prefix at the root; an infeasible k costs that one call. For a feasible k
 the backtracking runs to find the witness, and before it descends into a
 child the test cuts the child if no full assignment lies below it. Only
 dead subtrees are cut, so the first witness is the one the plain search
-finds. Enumeration visits every leaf anyway and does not call the test,
-which there cost more than it saved.
+finds. Enumeration does not call the test, which there cost more than it
+saved. It skips automorphic siblings instead: a vertex is not tried where
+an automorphism fixing the placed vertices maps a smaller unplaced vertex
+onto it, since the smaller one's subtree already held the same words and
+was searched first. The decision search keeps out of this rule: the test
+already cuts its dead subtrees, and computing orbits there made it slower.
 
 The public entry points check the vertex bound; the private cores
 _first_witness and _lettericity do not, so certification sweeps can run
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 from .core import Decoder, Lettering
 from .errors import CapabilityError
-from .graphs import Graph
+from .graphs import Graph, extend_isomorphism
 
 # Exhaustive search stays interactive up to this many vertices; full
 # enumeration of witnesses is bounded tighter.
@@ -59,15 +63,53 @@ class EnumerationResult:
     truncated: bool
 
 
-def _make_witness(order, letters, used, forced) -> LetteringWitness:
+def _make_witness(order, letters, used, forced, decoders: dict) -> LetteringWitness:
+    """The witness at a full assignment. Equal decoders are one object:
+    decoders maps (used, pairs) to the Decoder already built, which is
+    safe to share because a Decoder is frozen."""
     pairs = frozenset(
         (a, b)
         for a in range(1, used + 1)
         for b in range(1, used + 1)
         if forced[a][b] == 1
     )
-    lettering = Lettering(tuple(letters), Decoder(used, pairs))
-    return LetteringWitness(lettering, tuple(order))
+    decoder = decoders.get((used, pairs))
+    if decoder is None:
+        decoder = decoders[used, pairs] = Decoder(used, pairs)
+    return LetteringWitness(Lettering(tuple(letters), decoder), tuple(order))
+
+
+def _orbit_skips(adj, n: int, placed: int) -> int:
+    """Mask of the unplaced vertices v that some automorphism fixing every
+    placed vertex maps a smaller unplaced vertex to: every vertex of its
+    orbit under that stabilizer except the smallest. 0 iff the stabilizer
+    is trivial."""
+    fixed = [v for v in range(1, n + 1) if placed >> v & 1]
+    rest = sorted(
+        (v for v in range(1, n + 1) if not placed >> v & 1),
+        key=lambda v: (-adj[v].bit_count(), v),
+    )
+    skips = 0
+    reps: list[int] = []
+    for v in range(1, n + 1):
+        if placed >> v & 1:
+            continue
+        for u in reps:
+            # An automorphism fixing the placed vertices and sending u to
+            # v gives both the same degree and the same placed neighbors.
+            if adj[u] & placed != adj[v] & placed or adj[u].bit_count() != adj[v].bit_count():
+                continue
+            mapping = [0] * (n + 1)
+            for p in fixed:
+                mapping[p] = p
+            mapping[u] = v
+            order = fixed + [u] + [w for w in rest if w != u]
+            if extend_isomorphism(adj, adj, order, mapping):
+                skips |= 1 << v
+                break
+        else:
+            reps.append(v)
+    return skips
 
 
 # Pair states in _completable for an ordered pair of classes (a, b): no
@@ -214,7 +256,16 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
     full assignment and returns False to stop the search. With prune, every
     child is first checked by _completable and skipped when no full
     assignment lies below it; that removes only dead subtrees, so the
-    witnesses found, and their order, do not change."""
+    witnesses found, and their order, do not change.
+
+    Without prune the search is exhaustive and skips automorphic siblings
+    instead: a candidate vertex v is not tried when an automorphism fixing
+    every placed vertex maps a smaller unplaced vertex u to v. Such an
+    automorphism keeps each letter class and the forced table, so it maps
+    the subtree under u onto the one under v with the same letters: every
+    word below v was already seen below u, earlier in the DFS. The orbits
+    are computed once per placed set, for this search only, and not at all
+    below a placed set whose stabilizer is trivial."""
     n = g.n
     adj = g.adjacency_masks()
     order = [0] * n
@@ -222,16 +273,25 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
     group = [0] * (k + 2)  # letter -> bitmask of vertices carrying it
     # forced[a][b]: -1 unknown, 0 non-edge, 1 edge, for ordered pair (a, b)
     forced = [[-1] * (k + 2) for _ in range(k + 2)]
+    skips_of: dict[int, int] = {}  # placed mask -> _orbit_skips
 
-    def extend(depth: int, used: int, placed: int) -> bool:
+    def extend(depth: int, used: int, placed: int, symmetric: bool) -> bool:
         if depth == n:
             if exact_alphabet and used != k:
                 return True
             return visit(order, letters, used, forced)
         if exact_alphabet and k - used > n - depth:
             return True  # not enough positions left to introduce every letter
+        skip = placed
+        if symmetric:
+            skips = skips_of.get(placed)
+            if skips is None:
+                skips = skips_of[placed] = _orbit_skips(adj, n, placed)
+            skip |= skips
+            # A child's stabilizer is a subgroup of this one.
+            symmetric = skips != 0
         for v in range(1, n + 1):
-            if placed >> v & 1:
+            if skip >> v & 1:
                 continue
             av = adj[v]
             # v's adjacency to each letter class must be all-or-nothing.
@@ -275,7 +335,9 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
                 dead = prune and depth + 1 < n and not _completable(
                     adj, n, k, order[: depth + 1], letters[: depth + 1]
                 )
-                keep_going = dead or extend(depth + 1, used + (c > used), placed | vbit)
+                keep_going = dead or extend(
+                    depth + 1, used + (c > used), placed | vbit, symmetric
+                )
                 group[c] &= ~vbit
                 for fa in changed:
                     fa[c] = -1
@@ -284,7 +346,7 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
         return True
 
     try:
-        extend(0, 0, 0)
+        extend(0, 0, 0, not prune)
     finally:
         del extend  # the closure refers to itself; free it on return
 
@@ -307,7 +369,7 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     found: list[LetteringWitness] = []
 
     def visit(order, letters, used, forced):
-        found.append(_make_witness(order, letters, used, forced))
+        found.append(_make_witness(order, letters, used, forced, {}))
         return False
 
     _search(g, k, False, visit, prune=True)
@@ -356,6 +418,7 @@ def enumerate_letterings(g: Graph, k: int, limit: int | None = None) -> Enumerat
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     by_word: dict[tuple[int, ...], LetteringWitness] = {}
+    decoders: dict = {}
     truncated = False
 
     def visit(order, letters, used, forced):
@@ -366,7 +429,7 @@ def enumerate_letterings(g: Graph, k: int, limit: int | None = None) -> Enumerat
         if limit is not None and len(by_word) == limit:
             truncated = True
             return False
-        by_word[key] = _make_witness(order, letters, used, forced)
+        by_word[key] = _make_witness(order, letters, used, forced, decoders)
         return True
 
     _search(g, k, True, visit)

@@ -121,6 +121,17 @@ def test_criterion_6_word_counts_both_conventions():
     _report(6, "matching word counts 1, 6, 90 (fixed alphabet); " + "; ".join(lines), t0)
 
 
+def test_criterion_6b_canonical_matching_words_past_the_census():
+    # The census brute force stops at r = 3; enumeration counts the
+    # canonical words of rK_2 at k = r further: (2r-1)!! of them.
+    t0 = time.time()
+    counts = [len(enumerate_letterings(matching_graph(r), r).witnesses) for r in range(1, 6)]
+    assert counts == [math.prod(range(1, 2 * r, 2)) for r in range(1, 6)] == [1, 3, 15, 105, 945]
+    elapsed = time.time() - t0
+    assert elapsed < 10, f"matching enumeration took {elapsed:.1f}s, budget 10s"
+    _report(6, "canonical words of rK_2 at k = r number 1, 3, 15, 105, 945 = (2r-1)!! for r = 1..5", t0)
+
+
 def test_criterion_7_solver_matches_naive_oracle():
     t0 = time.time()
     per_n = {}

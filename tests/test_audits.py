@@ -18,6 +18,7 @@ from lettergraphs import (
     matching_word_census,
     path_lettering,
 )
+from lettergraphs.audits import _audit_matching_letterings
 
 
 @st.composite
@@ -69,6 +70,16 @@ def test_audit_bounds():
         audit_matching_letterings(2, 1)
     with pytest.raises(ValueError):
         audit_matching_letterings(2, 5)
+
+
+def test_audit_core_past_the_bound():
+    # The public audit stops at AUDIT_MAX_PAIRS = 3; its core runs up to
+    # the enumeration bound of 10 vertices.
+    for r in (4, 5):
+        for k in range(r, 2 * r + 1):
+            report = _audit_matching_letterings(r, k)
+            assert report.ok(), report
+        assert _audit_matching_letterings(r, r).edge_paired_fraction == 1.0
 
 
 def test_no_letter_occurs_three_times_in_any_matching_lettering():

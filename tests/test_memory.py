@@ -9,6 +9,7 @@ from lettergraphs import (
     Decoder,
     Graph,
     Lettering,
+    are_isomorphic,
     decode,
     enumerate_letterings,
     is_k_letterable,
@@ -46,10 +47,33 @@ def test_search_leaves_no_reference_cycles():
     try:
         for n in range(3, 9):
             lettericity_exact(path_graph(n))
+        for n in range(5, 9):
+            # A path against a shorter path plus a triangle: same degrees.
+            triangle = {(n - 2, n - 1), (n - 1, n), (n - 2, n)}
+            assert not are_isomorphic(path_graph(n), Graph(n, path_graph(n - 3).edges | triangle))
+            assert are_isomorphic(path_graph(n), path_graph(n))
         enumerate_letterings(matching_graph(2), 2)
+        enumerate_letterings(matching_graph(3), 3)  # computes stabilizer orbits
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_enumeration_shares_equal_decoders():
+    result = enumerate_letterings(path_graph(8), 4)
+    first: dict = {}
+    for w in result.witnesses:
+        decoder = w.lettering.decoder
+        assert first.setdefault(decoder, decoder) is decoder
+    assert len(first) < len(result.witnesses)  # 37 decoders for 81 words
+    # Held by the result: about 80 kB, and 102 kB with a decoder per witness.
+    tracemalloc.start()
+    try:
+        held = enumerate_letterings(path_graph(8), 4)
+        assert tracemalloc.get_traced_memory()[0] < 90_000
+    finally:
+        tracemalloc.stop()
+    assert held == result
 
 
 def test_graph_keeps_a_normalized_edge_set():

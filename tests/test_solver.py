@@ -1,6 +1,7 @@
 """Exact search: decision, minimization, enumeration, and its guarantees."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lettergraphs import (
     CapabilityError,
+    EnumerationResult,
     Graph,
     decode,
     enumerate_letterings,
@@ -270,3 +272,75 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
     assert is_k_letterable(path_graph(7), 2) is None
     assert is_k_letterable(matching_graph(4), 3) is None
     assert len(calls) == 2
+
+
+def _relabel(g, rng):
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return Graph(g.n, frozenset((perm[u - 1], perm[v - 1]) for u, v in g.edges))
+
+
+def test_orbit_skips_match_brute_force_orbits():
+    # Every automorphism of g from all n! permutations; for each placed
+    # set, v is skipped iff an automorphism fixing the placed vertices
+    # sends a smaller unplaced vertex to v.
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            g = _relabel(g, rng)
+            autos = [
+                (0,) + p
+                for p in permutations(range(1, n + 1))
+                if frozenset(
+                    (min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])) for u, v in g.edges
+                )
+                == g.edges
+            ]
+            adj = g.adjacency_masks()
+            for placed in range(0, 1 << (n + 1), 2):
+                expected = 0
+                for sigma in autos:
+                    if all(sigma[p] == p for p in range(1, n + 1) if placed >> p & 1):
+                        for u in range(1, n + 1):
+                            if not placed >> u & 1 and sigma[u] > u:
+                                expected |= 1 << sigma[u]
+                assert solver._orbit_skips(adj, n, placed) == expected, (g, placed)
+
+
+def test_orbit_pruning_keeps_every_enumeration(monkeypatch):
+    # The orbit rule depends on vertex labels, so graphs are also tried
+    # under seeded relabelings (at n = 6 only under one, for time).
+    rng = random.Random(7)
+    cases = []
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            labelings = [_relabel(g, rng)] if n == 6 else [g, _relabel(g, rng), _relabel(g, rng)]
+            cases += [(h, k) for h in labelings for k in range(1, n + 1)]
+    limits = (None, 0, 1, 3)
+    pruned = [[enumerate_letterings(h, k, limit) for limit in limits] for h, k in cases]
+    # The unpruned search reports every stabilizer trivial. A limit keeps
+    # the first distinct words it finds, so the witnesses it builds, in
+    # order, give its result under every limit.
+    make_witness = solver._make_witness
+    found = []
+
+    def record(*args):
+        found.append(make_witness(*args))
+        return found[-1]
+
+    monkeypatch.setattr(solver, "_orbit_skips", lambda adj, n, placed: 0)
+    monkeypatch.setattr(solver, "_make_witness", record)
+    for (h, k), results in zip(cases, pruned):
+        found.clear()
+        assert results[0] == enumerate_letterings(h, k), (h, k)
+        for limit, result in zip(limits[1:], results[1:]):
+            kept = sorted(found[:limit], key=lambda w: w.lettering.word)
+            assert result == EnumerationResult(tuple(kept), len(found) > limit), (h, k, limit)
+
+
+def test_first_witness_of_every_matching_word(monkeypatch):
+    # 4K_2 has 384 automorphisms; the siblings they make skippable hold no
+    # new word, so each word keeps the witness the full search finds first.
+    pruned = enumerate_letterings(matching_graph(4), 4)
+    monkeypatch.setattr(solver, "_orbit_skips", lambda adj, n, placed: 0)
+    assert enumerate_letterings(matching_graph(4), 4) == pruned

@@ -73,7 +73,9 @@ class MatchingAuditReport:
 def audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
     """Enumerate every lettering of rK_2 with alphabet exactly k and
     summarize letter multiplicities and edge pairing."""
-    if not 1 <= r <= AUDIT_MAX_PAIRS:
+    if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
+        raise ValueError(f"a matching needs at least one pair, got r={r}")
+    if r > AUDIT_MAX_PAIRS:
         raise CapabilityError(
             f"matching audits are enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
         )
@@ -94,14 +96,9 @@ def _audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
         word = witness.lettering.word
         counts = Counter(word)
         max_occ = max(max_occ, max(counts.values()))
-        decoded = decode(witness.lettering)
-        positions: dict[int, list[int]] = {}
-        for p, a in enumerate(word, start=1):
-            positions.setdefault(a, []).append(p)
-        if all(
-            len(ps) == 2 and decoded.has_edge(ps[0], ps[1])
-            for ps in positions.values()
-        ):
+        # A letter's two positions are adjacent iff (a, a) is decoded.
+        pairs = witness.lettering.decoder.pairs
+        if all(c == 2 and (a, a) in pairs for a, c in counts.items()):
             paired += 1
     count = len(result.witnesses)
     fraction = paired / count if count else 1.0
@@ -166,7 +163,9 @@ def _is_canonical(word: tuple[int, ...]) -> bool:
 def matching_word_census(r: int) -> WordCensus:
     """Brute-force count of words of length 2r over {1..r} that decode to a
     perfect matching for some decoder. Independent of the solver."""
-    if not 1 <= r <= AUDIT_MAX_PAIRS:
+    if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
+        raise ValueError(f"a matching needs at least one pair, got r={r}")
+    if r > AUDIT_MAX_PAIRS:
         raise CapabilityError(
             f"word census is enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
         )

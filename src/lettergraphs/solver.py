@@ -1,4 +1,4 @@
-"""Exact lettericity search by backtracking.
+"""Exact lettericity search: a decision walk and an enumeration DFS.
 
 The solver never enumerates decoders explicitly. It assigns target
 vertices to word positions left to right and gives each a letter; the
@@ -7,27 +7,28 @@ position pair realizes it, and every later realization must agree, so
 inconsistent prefixes die immediately. Letters are numbered by first
 occurrence (a fresh letter is always the smallest unused one), which
 quotients away alphabet relabelling from both decision and enumeration.
+Candidate vertices are tried in ascending label order and letters in
+ascending order, so every reported result is deterministic.
 
-At each depth candidate vertices are tried in ascending label order and
-letters in ascending order, so the first witness found -- and therefore
-every reported result -- is deterministic.
-
-The decision search (is_k_letterable, and so lettericity_exact) rests on
-a partition-first completion test: _completable decides exactly whether a
+The decision (is_k_letterable, and so lettericity_exact) rests on a
+partition-first completion test: _completable decides exactly whether a
 placed prefix extends to a full lettering, using Petkovsek's structural
 view of letter graphs (letter classes that are cliques or independent
 sets, class pairs that are complete, empty or ordered one way, and an
-acyclic precedence). Each k is decided first by one such test on the empty
-prefix at the root; an infeasible k costs that one call. For a feasible k
-the backtracking runs to find the witness, and before it descends into a
-child the test cuts the child if no full assignment lies below it. Only
-dead subtrees are cut, so the first witness is the one the plain search
-finds. Enumeration does not call the test, which there cost more than it
-saved. It skips automorphic siblings instead: a vertex is not tried where
-an automorphism fixing the placed vertices maps a smaller unplaced vertex
+acyclic precedence). Each k is decided by one such test on the empty
+prefix; an infeasible k costs that one call. For a feasible k the first
+witness -- the first lettering in vertex-then-letter ascending order -- is
+built by a walk that only moves forward: at each position it takes the
+first consistent choice whose prefix the test accepts. Because the test
+is exact, that prefix always extends and no step is ever undone.
+
+Enumeration (enumerate_letterings) is a backtracking DFS over the same
+choices that does not call the test, which there cost more than it saved.
+It skips automorphic siblings instead: a vertex is not tried where an
+automorphism fixing the placed vertices maps a smaller unplaced vertex
 onto it, since the smaller one's subtree already held the same words and
-was searched first. The decision search keeps out of this rule: the test
-already cuts its dead subtrees, and computing orbits there made it slower.
+was searched first. The decision keeps out of this rule: the test already
+rejects the dead choices, and computing orbits there made it slower.
 
 The public entry points check the vertex bound; the private cores
 _first_witness and _lettericity do not, so certification sweeps can run
@@ -251,21 +252,18 @@ def _completable(adj, n: int, k: int, order_prefix, letters_prefix) -> bool:
     return _Completion(adj, n, k, order_prefix, letters_prefix).place(0, 0, reach)
 
 
-def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) -> None:
-    """Run the DFS; visit(order, letters, used, forced) is called at every
-    full assignment and returns False to stop the search. With prune, every
-    child is first checked by _completable and skipped when no full
-    assignment lies below it; that removes only dead subtrees, so the
-    witnesses found, and their order, do not change.
+def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
+    """enumerate_letterings without its checks: a backtracking DFS over
+    every assignment with exactly k letters, keeping the first witness of
+    each word and stopping once one more distinct word than limit is seen.
 
-    Without prune the search is exhaustive and skips automorphic siblings
-    instead: a candidate vertex v is not tried when an automorphism fixing
-    every placed vertex maps a smaller unplaced vertex u to v. Such an
-    automorphism keeps each letter class and the forced table, so it maps
-    the subtree under u onto the one under v with the same letters: every
-    word below v was already seen below u, earlier in the DFS. The orbits
-    are computed once per placed set, for this search only, and not at all
-    below a placed set whose stabilizer is trivial."""
+    It skips automorphic siblings: a candidate vertex v is not tried when an
+    automorphism fixing every placed vertex maps a smaller unplaced vertex
+    u to v. Such an automorphism keeps each letter class and the forced
+    table, so it maps the subtree under u onto the one under v with the same
+    letters: every word below v was already seen below u, earlier in the
+    DFS. The orbits are computed once per placed set, for this search only,
+    and not at all below a placed set whose stabilizer is trivial."""
     n = g.n
     adj = g.adjacency_masks()
     order = [0] * n
@@ -274,13 +272,22 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
     # forced[a][b]: -1 unknown, 0 non-edge, 1 edge, for ordered pair (a, b)
     forced = [[-1] * (k + 2) for _ in range(k + 2)]
     skips_of: dict[int, int] = {}  # placed mask -> _orbit_skips
+    by_word: dict[tuple[int, ...], LetteringWitness] = {}
+    decoders: dict = {}
 
     def extend(depth: int, used: int, placed: int, symmetric: bool) -> bool:
+        """False once the limit stops the search."""
         if depth == n:
-            if exact_alphabet and used != k:
+            if used != k:
                 return True
-            return visit(order, letters, used, forced)
-        if exact_alphabet and k - used > n - depth:
+            key = tuple(letters)
+            if key in by_word:
+                return True
+            if limit is not None and len(by_word) == limit:
+                return False
+            by_word[key] = _make_witness(order, letters, used, forced, decoders)
+            return True
+        if k - used > n - depth:
             return True  # not enough positions left to introduce every letter
         skip = placed
         if symmetric:
@@ -331,13 +338,7 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
                 order[depth] = v
                 letters[depth] = c
                 group[c] |= vbit
-                # A full assignment that got this far is a lettering already.
-                dead = prune and depth + 1 < n and not _completable(
-                    adj, n, k, order[: depth + 1], letters[: depth + 1]
-                )
-                keep_going = dead or extend(
-                    depth + 1, used + (c > used), placed | vbit, symmetric
-                )
+                keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
                 group[c] &= ~vbit
                 for fa in changed:
                     fa[c] = -1
@@ -346,9 +347,10 @@ def _search(g: Graph, k: int, exact_alphabet: bool, visit, prune: bool = False) 
         return True
 
     try:
-        extend(0, 0, 0, not prune)
+        truncated = not extend(0, 0, 0, True)
     finally:
         del extend  # the closure refers to itself; free it on return
+    return EnumerationResult(tuple(by_word[w] for w in sorted(by_word)), truncated)
 
 
 def _check_size(n: int, limit: int) -> None:
@@ -362,18 +364,67 @@ def _check_graph(g: Graph, limit: int) -> None:
     _check_size(g.n, limit)
 
 
+def _consistent_choices(adj, n: int, k: int, placed: int, group, forced, used: int):
+    """Yield each consistent next step (v, c, pattern), v ascending, then c:
+    v is unplaced, c is a used letter or the next fresh one (at most k), v
+    sees each letter class all-or-nothing (pattern[a-1] is 1 iff v is
+    adjacent to class a), and each pair (a, c) agrees with forced."""
+    for v in range(1, n + 1):
+        if placed >> v & 1:
+            continue
+        av = adj[v]
+        pattern = []
+        for a in range(1, used + 1):
+            m = group[a] & av
+            if m == 0:
+                pattern.append(0)
+            elif m == group[a]:
+                pattern.append(1)
+            else:
+                break
+        else:
+            for c in range(1, min(used + 1, k) + 1):
+                if all(forced.get((a, c), bit) == bit for a, bit in enumerate(pattern, 1)):
+                    yield v, c, pattern
+
+
 def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
-    """is_k_letterable without the vertex bound, for 0 <= k <= g.n."""
-    if not _completable(g.adjacency_masks(), g.n, k, [], []):
+    """is_k_letterable without the vertex bound, for 0 <= k <= g.n.
+
+    The first witness is the first lettering in vertex-then-letter
+    ascending order, the one a depth-first search over those choices
+    reaches first. One _completable call on the empty prefix decides k.
+    For a feasible k a walk fills one position at a time with the first
+    consistent choice whose prefix _completable accepts, and never undoes
+    it: the test is exact, so that prefix extends to a lettering and no
+    earlier choice had one below it."""
+    n = g.n
+    adj = g.adjacency_masks()
+    if not _completable(adj, n, k, [], []):
         return None  # one exact test at the root decides an infeasible k
-    found: list[LetteringWitness] = []
-
-    def visit(order, letters, used, forced):
-        found.append(_make_witness(order, letters, used, forced, {}))
-        return False
-
-    _search(g, k, False, visit, prune=True)
-    return found[0]
+    order: list[int] = []
+    letters: list[int] = []
+    group = [0] * (k + 1)  # letter -> bitmask of vertices carrying it
+    forced: dict[tuple[int, int], int] = {}  # realized pair (a, b) -> 1 edge, 0 non-edge
+    placed = used = 0
+    for depth in range(n):
+        for v, c, pattern in _consistent_choices(adj, n, k, placed, group, forced, used):
+            # A consistent full assignment is a lettering already.
+            if depth + 1 == n or _completable(adj, n, k, order + [v], letters + [c]):
+                break
+        else:
+            raise RuntimeError(
+                f"internal error: the completion test accepted a dead prefix at k={k}"
+            )
+        order.append(v)
+        letters.append(c)
+        group[c] |= 1 << v
+        placed |= 1 << v
+        used = max(used, c)
+        for a, bit in enumerate(pattern, 1):
+            forced[a, c] = bit
+    decoder = Decoder(used, frozenset(pair for pair, bit in forced.items() if bit))
+    return LetteringWitness(Lettering(tuple(letters), decoder), tuple(order))
 
 
 def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:
@@ -387,7 +438,10 @@ def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:
 
 def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
     """First witness exhibiting g as a letter graph over at most k letters,
-    or None if there is none."""
+    or None if there is none. First means first in vertex-then-letter
+    ascending order: position by position, the smallest vertex and then
+    the smallest letter (letters numbered by first occurrence) that still
+    extend to a lettering."""
     _check_graph(g, VERTEX_LIMIT)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -417,21 +471,4 @@ def enumerate_letterings(g: Graph, k: int, limit: int | None = None) -> Enumerat
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    by_word: dict[tuple[int, ...], LetteringWitness] = {}
-    decoders: dict = {}
-    truncated = False
-
-    def visit(order, letters, used, forced):
-        nonlocal truncated
-        key = tuple(letters)
-        if key in by_word:
-            return True
-        if limit is not None and len(by_word) == limit:
-            truncated = True
-            return False
-        by_word[key] = _make_witness(order, letters, used, forced, decoders)
-        return True
-
-    _search(g, k, True, visit)
-    witnesses = tuple(by_word[w] for w in sorted(by_word))
-    return EnumerationResult(witnesses, truncated)
+    return _search(g, k, limit)

@@ -9,6 +9,11 @@ itself as decoder always works, so minimality is already proven by the
 failed enumerations below n.
 
 numpy only vectorizes the decode loop; the enumeration is exhaustive.
+
+It also holds a plain depth-first reference for the solver's search order:
+dfs_prefixes lists every prefix that search reaches, prefix_liveness says
+which of them a full lettering lies below, and first_lettering is the
+first full lettering it reaches.
 """
 
 from __future__ import annotations
@@ -90,3 +95,43 @@ def all_graphs_up_to_iso(n: int) -> list[Graph]:
                           for b in range(len(pairs)) if code >> b & 1)
         reps.append(Graph(n, edges))
     return reps
+
+
+def dfs_prefixes(g: Graph, k: int, order=(), letters=(), table=None):
+    """Yield every prefix (order, letters) a plain depth-first search
+    reaches from the given one, itself first, in the order it reaches them.
+    The search places vertices in ascending order and, for each, letters in
+    ascending order; a fresh letter is the smallest unused one, at most k.
+    A prefix is reached when every ordered letter pair it realizes is used
+    consistently: all edges or all non-edges. table holds those pairs."""
+    table = {} if table is None else table
+    yield order, letters
+    for v in range(1, g.n + 1):
+        if v in order:
+            continue
+        for c in range(1, min(max(letters, default=0) + 1, k) + 1):
+            child = dict(table)
+            if all(
+                child.setdefault((a, c), g.has_edge(u, v)) == g.has_edge(u, v)
+                for u, a in zip(order, letters)
+            ):
+                yield from dfs_prefixes(g, k, order + (v,), letters + (c,), child)
+
+
+def prefix_liveness(g: Graph, k: int) -> dict[tuple, bool]:
+    """Every prefix dfs_prefixes reaches, mapped to whether a full lettering
+    lies below it (a full one is live itself)."""
+    prefixes = list(dfs_prefixes(g, k))
+    live = {
+        (order[:d], letters[:d])
+        for order, letters in prefixes
+        if len(order) == g.n
+        for d in range(g.n + 1)
+    }
+    return {prefix: prefix in live for prefix in prefixes}
+
+
+def first_lettering(g: Graph, k: int):
+    """The first full lettering (order, letters) dfs_prefixes reaches, or
+    None if there is none."""
+    return next((p for p in dfs_prefixes(g, k) if len(p[0]) == g.n), None)

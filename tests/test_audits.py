@@ -70,6 +70,10 @@ def test_audit_bounds():
         audit_matching_letterings(2, 1)
     with pytest.raises(ValueError):
         audit_matching_letterings(2, 5)
+    with pytest.raises(ValueError):
+        audit_matching_letterings(0, 0)
+    with pytest.raises(ValueError):
+        audit_matching_letterings(-2, 1)
 
 
 def test_audit_core_past_the_bound():
@@ -126,5 +130,6 @@ def test_census_matches_solver_enumeration():
 def test_census_bounds():
     with pytest.raises(CapabilityError):
         count_matching_words(4)
-    with pytest.raises(CapabilityError):
+    # r < 1 is a domain error, not a bound
+    with pytest.raises(ValueError):
         matching_word_census(0)

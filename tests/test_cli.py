@@ -1,5 +1,11 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lettergraphs.cli import main
 
 
@@ -138,6 +144,15 @@ def test_count_capability_bound(capsys):
     assert rc == 2 and "r <= 3" in err
 
 
+def test_nonpositive_r_is_a_domain_error(capsys):
+    # r < 1 exits 1 like any domain error, before the bound r <= 3 (exit 2)
+    for argv in (["count", "0"], ["count", "-1"], ["audit", "0", "0"], ["audit", "-2", "1"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "" and "at least one pair" in err
+    assert run(capsys, "count", "4")[0] == 2
+    assert run(capsys, "audit", "4", "4")[0] == 2
+
+
 def test_usage_errors_exit_one(capsys):
     rc, _, err = run(capsys, "frobnicate")
     assert rc == 1 and err != ""
@@ -153,3 +168,67 @@ def test_repeat_invocations_are_byte_identical(capsys):
     first = run(capsys, "lettericity", "--path", "8")
     second = run(capsys, "lettericity", "--path", "8")
     assert first == second
+
+
+SMALL = st.integers(-3, 14)
+# Pieces of words, decoders and edge lists, well-formed and not.
+TEXT = st.lists(
+    st.sampled_from(["1", "2", "3", "9", "0", "-1", "12", "x", ",", ":", " ", "\n", "1:2", "2:1", "1 2"]),
+    max_size=8,
+).map("".join)
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.integers(0, 7))
+    lines = [f"{u} {v}" for u, v in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=9))]
+    m = draw(st.sampled_from([len(lines), len(lines) + 1, draw(SMALL)]))
+    return "\n".join([f"{n} {m}", *lines, draw(TEXT)])
+
+
+@st.composite
+def argument_vectors(draw, directory):
+    """An argument vector for one subcommand, and its pair count r where it
+    names one. No size starts a long run: path n <= 2000, lettericity
+    targets of at most 12 vertices."""
+    command = draw(st.sampled_from(["decode", "path", "lettericity", "audit", "count"]))
+    flag = draw(st.booleans())
+    if command == "decode":
+        argv = ["decode", "--word", draw(TEXT), "--decoder", draw(TEXT)]
+        if flag:
+            argv += ["--k", str(draw(SMALL))]
+        return argv + draw(st.sampled_from([[], ["--format", "dot"], ["--format", "svg"]])), None
+    if command == "path":
+        return ["path", str(draw(st.integers(-3, 2000)))] + (["--verify"] if flag else []), None
+    if command == "audit":
+        r = draw(SMALL)
+        return ["audit", str(r), str(draw(SMALL))] + (["--kv"] if flag else []), r
+    if command == "count":
+        r = draw(SMALL)
+        return ["count", str(r)] + (["--census"] if flag else []), r
+    source = draw(st.sampled_from(["--path", "--matching", "file", "missing", "directory", "none"]))
+    if source in ("--path", "--matching"):
+        size = draw(SMALL)
+        return ["lettericity", source, str(size)], size if source == "--matching" else None
+    if source == "file":
+        path = directory / "graph.txt"
+        path.write_text(draw(edge_list_texts()), encoding="utf-8")
+        return ["lettericity", str(path)] + (["--path", "3"] if flag else []), None
+    if source == "missing":
+        return ["lettericity", str(directory / "missing.txt")], None
+    return (["lettericity", str(directory)] if source == "directory" else ["lettericity"]), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
+    # Exit 0, 1 or 2 and no exception for any vector; r <= 0 is a domain
+    # error (exit 1).
+    directory = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    directory.mkdir(exist_ok=True)
+    argv, r = data.draw(argument_vectors(directory))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    if r is not None and r <= 0:
+        assert rc == 1, argv

@@ -21,7 +21,12 @@ from lettergraphs import (
     solver,
     verify_lettering,
 )
-from naive_oracle import all_graphs_up_to_iso, oracle_lettericity
+from naive_oracle import (
+    all_graphs_up_to_iso,
+    first_lettering,
+    oracle_lettericity,
+    prefix_liveness,
+)
 
 
 @st.composite
@@ -193,67 +198,50 @@ def test_induced_subgraphs_never_need_more_letters():
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
 
 
-def test_completion_test_is_exact_on_every_visited_prefix(monkeypatch):
-    # A recorder that never prunes stands in for the completion test, so
-    # _search walks its whole unpruned tree; a prefix is completable iff
-    # some full assignment reached lies below it.
-    completable = solver._completable
-    visited = []
-
-    def record(adj, n, k, order, letters):
-        visited.append((order, letters))
-        return True
-
-    monkeypatch.setattr(solver, "_completable", record)
+def test_completion_test_is_exact_on_every_reachable_prefix():
+    # Against the plain DFS reference: at the root _completable decides
+    # whether any lettering exists (k = 0 too), and on every prefix the
+    # search reaches it says whether a full lettering lies below it.
     dead = 0
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             adj = g.adjacency_masks()
-            for k in range(1, n + 1):
-                visited.clear()
-                below = set()
-
-                def leaf(order, letters, used, forced):
-                    for d in range(1, n + 1):
-                        below.add((tuple(order[:d]), tuple(letters[:d])))
-                    return True
-
-                solver._search(g, k, False, leaf, prune=True)
-                for order, letters in visited:
-                    expected = (tuple(order), tuple(letters)) in below
-                    got = completable(adj, n, k, order, letters)
-                    assert got == expected, (g, k, order, letters)
-                    dead += not expected
+            for k in range(n + 1):
+                live = prefix_liveness(g, k)
+                assert solver._completable(adj, n, k, [], []) == live[(), ()], (g, k)
+                for (order, letters), expected in live.items():
+                    if 0 < len(order) < n:
+                        got = solver._completable(adj, n, k, list(order), list(letters))
+                        assert got == expected, (g, k, order, letters)
+                        dead += not expected
     assert dead > 0
 
 
-def _first_assignment(g, k, prune):
-    found = []
+def _first(g, k):
+    w = is_k_letterable(g, k)
+    return None if w is None else (w.vertex_of_position, w.lettering.word)
 
-    def visit(order, letters, used, forced):
-        found.append((tuple(order), tuple(letters)))
-        return False
 
-    solver._search(g, k, False, visit, prune=prune)
-    return found
+def test_walk_finds_the_first_lettering():
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            for k in range(n + 1):
+                assert _first(g, k) == first_lettering(g, k), (g, k)
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_graphs(max_n=7), st.integers(1, 7))
-def test_pruning_keeps_the_first_witness(g, k):
+@given(small_graphs(max_n=7), st.integers(0, 7))
+def test_walk_finds_the_first_lettering_of_labelled_graphs(g, k):
     k = min(k, g.n)
-    assert _first_assignment(g, k, True) == _first_assignment(g, k, False)
+    assert _first(g, k) == first_lettering(g, k)
 
 
-def test_root_completion_test_decides_k():
-    # The empty prefix: _completable at the root is True iff the unpruned
-    # search reaches a full assignment, for k = 0 too.
-    for n in range(1, 6):
-        for g in all_graphs_up_to_iso(n):
-            adj = g.adjacency_masks()
-            for k in range(n + 1):
-                expected = bool(_first_assignment(g, k, False))
-                assert solver._completable(adj, n, k, [], []) == expected, (g, k)
+def test_walk_fails_loudly_past_a_wrong_completion_answer(monkeypatch):
+    # A completion test that accepts every prefix leads the walk into dead
+    # ones. P_7 has no 2-lettering, so the walk must raise, not return one.
+    monkeypatch.setattr(solver, "_completable", lambda *args: True)
+    with pytest.raises(RuntimeError, match="internal error"):
+        is_k_letterable(path_graph(7), 2)
 
 
 def test_infeasible_k_costs_one_completion_call(monkeypatch):
@@ -264,11 +252,7 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
         calls.append(args)
         return completable(*args)
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("an infeasible k entered the search")
-
     monkeypatch.setattr(solver, "_completable", counted)
-    monkeypatch.setattr(solver, "_search", no_search)
     assert is_k_letterable(path_graph(7), 2) is None
     assert is_k_letterable(matching_graph(4), 3) is None
     assert len(calls) == 2

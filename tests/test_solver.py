@@ -198,23 +198,31 @@ def test_induced_subgraphs_never_need_more_letters():
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
 
 
-def test_completion_test_is_exact_on_every_reachable_prefix():
-    # Against the plain DFS reference: at the root _completable decides
-    # whether any lettering exists (k = 0 too), and on every prefix the
-    # search reaches it says whether a full lettering lies below it.
+def test_completion_test_is_exact_on_every_visited_prefix():
+    # Against the plain DFS reference: on every proper prefix that search
+    # visits, _completable says whether a full lettering lies below it.
     dead = 0
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             adj = g.adjacency_masks()
             for k in range(n + 1):
-                live = prefix_liveness(g, k)
-                assert solver._completable(adj, n, k, [], []) == live[(), ()], (g, k)
-                for (order, letters), expected in live.items():
+                for (order, letters), expected in prefix_liveness(g, k).items():
                     if 0 < len(order) < n:
                         got = solver._completable(adj, n, k, list(order), list(letters))
                         assert got == expected, (g, k, order, letters)
                         dead += not expected
     assert dead > 0
+
+
+def test_root_completion_test_decides_k():
+    # The empty prefix: _completable at the root is True iff the plain DFS
+    # reference reaches a full lettering, for k = 0 too.
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            adj = g.adjacency_masks()
+            for k in range(n + 1):
+                expected = first_lettering(g, k) is not None
+                assert solver._completable(adj, n, k, [], []) == expected, (g, k)
 
 
 def _first(g, k):

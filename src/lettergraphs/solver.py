@@ -10,25 +10,24 @@ quotients away alphabet relabelling from both decision and enumeration.
 Candidate vertices are tried in ascending label order and letters in
 ascending order, so every reported result is deterministic.
 
-The decision (is_k_letterable, and so lettericity_exact) rests on a
-partition-first completion test: _completable decides exactly whether a
-placed prefix extends to a full lettering, using Petkovsek's structural
-view of letter graphs (letter classes that are cliques or independent
-sets, class pairs that are complete, empty or ordered one way, and an
-acyclic precedence). Each k is decided by one such test on the empty
-prefix; an infeasible k costs that one call. For a feasible k the first
-witness -- the first lettering in vertex-then-letter ascending order -- is
-built by a walk that only moves forward: at each position it takes the
-first consistent choice whose prefix the test accepts. Because the test
-is exact, that prefix always extends and no step is ever undone.
+The decision (is_k_letterable, and so lettericity_exact) works in
+Petkovsek's structural view of letter graphs: letter classes that are
+cliques or independent sets, class pairs that are complete, empty or
+ordered one way, and an acyclic precedence. A _Completion state holds a
+placed prefix in that form, and its completion search decides exactly
+whether the prefix extends to a lettering. One search on the empty prefix
+decides k. For a feasible k the first witness (the first lettering in
+vertex-then-letter ascending order) is built by a forward-only walk: from
+the accepted prefix's state it moves to the first child state whose
+search passes. The search is exact, so no step is ever undone.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
-choices that does not call the test, which there cost more than it saved.
+choices that runs no completion search, which there cost more than it saved.
 It skips automorphic siblings instead: a vertex is not tried where an
 automorphism fixing the placed vertices maps a smaller unplaced vertex
 onto it, since the smaller one's subtree already held the same words and
-was searched first. The decision keeps out of this rule: the test already
-rejects the dead choices, and computing orbits there made it slower.
+was searched first. The decision keeps out of this rule: the search
+already rejects the dead choices, and computing orbits there made it slower.
 
 The public entry points check the vertex bound; the private cores
 _first_witness and _lettericity do not, so certification sweeps can run
@@ -113,7 +112,7 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
     return skips
 
 
-# Pair states in _completable for an ordered pair of classes (a, b): no
+# Pair states in _Completion for an ordered pair of classes (a, b): no
 # cross pair seen yet, all non-edges so far, all edges so far, or oriented:
 # x in a ~ y in b iff x comes first (_FIRST) or iff y comes first (_SECOND).
 _UNSEEN, _NONEDGE, _EDGE, _FIRST, _SECOND = range(5)
@@ -148,17 +147,71 @@ def _face(reach: list[int], n: int, x: int, ax: int, others: int, state: int) ->
 
 
 class _Completion:
-    """The state of one _completable question: the prefix, the vertex
-    sequence to assign (prefix first), the vertex mask of each class and
-    the state of each ordered class pair (pair[a * w + b])."""
+    """A placed prefix in class form: vertex order[i] at position i+1 with
+    letter letters[i], m the largest letter, rest the unplaced vertices
+    (ascending), cls[c] the vertex mask of class c, pair[a * w + b] the
+    state of class pair (a, b), and reach[u] the closed mask of vertices
+    after u. A built state is never changed: placed returns a new one and
+    the completion search works on copies. It forms no reference cycle."""
 
-    def __init__(self, adj, n: int, k: int, order_prefix, letters_prefix):
+    def __init__(self, adj, n: int, k: int):
         self.adj, self.n, self.k, self.w = adj, n, k, k + 1
-        self.letters_prefix = letters_prefix
-        placed = set(order_prefix)
-        self.seq = list(order_prefix) + [v for v in range(1, n + 1) if v not in placed]
+        self.order, self.letters, self.m = [], [], 0
+        self.rest = list(range(1, n + 1))
         self.cls = [0] * (k + 1)
         self.pair = [_UNSEEN] * (k + 1) ** 2
+        self.reach = [0] * (n + 1)
+
+    def children(self):
+        """Each consistent next placement: v ascending, then c up to the next fresh letter."""
+        for v in self.rest:
+            for c in range(1, min(self.m + 1, self.k) + 1):
+                child = self.placed(v, c)
+                if child is not None:
+                    yield child
+
+    def placed(self, v: int, c: int) -> _Completion | None:
+        """A copy with v placed next under letter c, or None if that breaks
+        a class or a class pair. v follows every placed vertex, so a class
+        pair that v does not keep complete or empty fits only one orientation:
+        _SECOND if v is adjacent to the other class, else _FIRST. The checks
+        see placed vertices only, so they just read reach."""
+        adj, w = self.adj, self.w
+        av, cm = adj[v], self.cls[c]
+        if any(av & bm not in (0, bm) for bm in self.cls):
+            return None  # v sees each class all or nothing,
+        if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(av & cm):
+            return None  # and joins its own as a clique or independent set
+        # Copies come from the constructor, not copy.copy: CPython looks up
+        # attributes of a copy.copy instance more slowly, on the hot path.
+        new = _Completion(self.adj, self.n, self.k)
+        new.cls, new.pair, new.reach = cls, pair, reach = self.cls[:], self.pair[:], self.reach[:]
+        new.order, new.letters, new.m = self.order + [v], self.letters + [c], max(self.m, c)
+        new.rest = [u for u in self.rest if u != v]
+        cls[c] = cm | 1 << v
+        for b in range(1, self.m + 1):
+            if b == c:
+                continue
+            flat, fit = (_EDGE, _SECOND) if av & cls[b] else (_NONEDGE, _FIRST)
+            state = pair[c * w + b]
+            if state in (_UNSEEN, flat):
+                pair[c * w + b] = pair[b * w + c] = flat
+            elif state != fit and not new.orient(c, b, fit, reach):
+                return None
+        reach[v] = sum(1 << u for u in new.rest)  # v precedes every unplaced vertex
+        return new
+
+    def completable(self) -> bool:
+        """Whether the prefix extends to a lettering over at most k letters:
+        iff the vertices split into at most k classes, each a clique or an
+        independent set, every class pair complete, empty or oriented
+        (adjacency decided by which vertex comes first), with an acyclic
+        precedence that puts the prefix first, in order. Unplaced vertices
+        join a class or the next fresh one, a pair that turns mixed is tried
+        in both orientations, and reach stays closed, so cycles prune at once."""
+        search = _Completion(self.adj, self.n, self.k)
+        search.rest, search.cls, search.pair = self.rest, self.cls[:], self.pair[:]
+        return search.place(0, self.m, self.reach)
 
     def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
         adj, n, w, pair = self.adj, self.n, self.w, self.pair
@@ -183,15 +236,11 @@ class _Completion:
 
     def place(self, i: int, m: int, reach: list[int]) -> bool:
         adj, n, w, cls, pair = self.adj, self.n, self.w, self.cls, self.pair
-        if i == n:
+        if i == len(self.rest):
             return True  # every vertex has a class and no cycle was closed
-        v = self.seq[i]
+        v = self.rest[i]
         av = adj[v]
-        if i < len(self.letters_prefix):
-            choices = (self.letters_prefix[i],)
-        else:
-            choices = range(1, min(m + 1, self.k) + 1)
-        for c in choices:
+        for c in range(1, min(m + 1, self.k) + 1):
             cm = cls[c]
             inside = av & cm
             if inside and inside != cm:
@@ -227,29 +276,15 @@ class _Completion:
         return False
 
 
-def _completable(adj, n: int, k: int, order_prefix, letters_prefix) -> bool:
-    """Whether the prefix (vertex order_prefix[i] at position i+1 with
-    letter letters_prefix[i]) extends to a lettering of all n vertices over
-    at most k letters.
-
-    Decided on partitions: a lettering exists iff the vertices split into
-    at most k letter classes, each a clique or an independent set, such that
-    every pair of classes is complete, empty, or oriented (adjacency decided
-    by which vertex comes first), and the precedence the orientations
-    induce is acyclic together with the prefix placed first in its order.
-    The prefix vertices keep their letters; each other vertex joins an
-    existing class or the next fresh one. A class pair's orientation is
-    branched on when the pair first shows both an edge and a non-edge, and
-    precedence is kept transitively closed as bitmasks, so a cycle prunes
-    at once. All state is rebuilt per call, and none of it forms reference
-    cycles, so it is freed on return rather than by the cycle collector.
-    """
-    reach = [0] * (n + 1)
-    after = (1 << (n + 1)) - 2
-    for v in order_prefix:
-        after &= ~(1 << v)
-        reach[v] = after  # a placed vertex precedes every later one
-    return _Completion(adj, n, k, order_prefix, letters_prefix).place(0, 0, reach)
+def _completable(adj, n: int, k: int, order, letters) -> bool:
+    """Whether the prefix (vertex order[i] with letter letters[i]) extends
+    to a lettering over at most k letters, for the exactness tests."""
+    state = _Completion(adj, n, k)
+    for v, c in zip(order, letters):
+        state = state.placed(v, c)
+        if state is None:
+            return False
+    return state.completable()
 
 
 def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
@@ -364,67 +399,30 @@ def _check_graph(g: Graph, limit: int) -> None:
     _check_size(g.n, limit)
 
 
-def _consistent_choices(adj, n: int, k: int, placed: int, group, forced, used: int):
-    """Yield each consistent next step (v, c, pattern), v ascending, then c:
-    v is unplaced, c is a used letter or the next fresh one (at most k), v
-    sees each letter class all-or-nothing (pattern[a-1] is 1 iff v is
-    adjacent to class a), and each pair (a, c) agrees with forced."""
-    for v in range(1, n + 1):
-        if placed >> v & 1:
-            continue
-        av = adj[v]
-        pattern = []
-        for a in range(1, used + 1):
-            m = group[a] & av
-            if m == 0:
-                pattern.append(0)
-            elif m == group[a]:
-                pattern.append(1)
-            else:
-                break
-        else:
-            for c in range(1, min(used + 1, k) + 1):
-                if all(forced.get((a, c), bit) == bit for a, bit in enumerate(pattern, 1)):
-                    yield v, c, pattern
-
-
 def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     """is_k_letterable without the vertex bound, for 0 <= k <= g.n.
 
     The first witness is the first lettering in vertex-then-letter
     ascending order, the one a depth-first search over those choices
-    reaches first. One _completable call on the empty prefix decides k.
-    For a feasible k a walk fills one position at a time with the first
-    consistent choice whose prefix _completable accepts, and never undoes
-    it: the test is exact, so that prefix extends to a lettering and no
-    earlier choice had one below it."""
-    n = g.n
+    reaches first. One completion search on the empty prefix decides k.
+    For a feasible k the walk keeps the accepted prefix's state and moves
+    to its first child whose completion search passes, never back: the
+    search is exact, so that child extends and no earlier one did."""
     adj = g.adjacency_masks()
-    if not _completable(adj, n, k, [], []):
-        return None  # one exact test at the root decides an infeasible k
-    order: list[int] = []
-    letters: list[int] = []
-    group = [0] * (k + 1)  # letter -> bitmask of vertices carrying it
-    forced: dict[tuple[int, int], int] = {}  # realized pair (a, b) -> 1 edge, 0 non-edge
-    placed = used = 0
-    for depth in range(n):
-        for v, c, pattern in _consistent_choices(adj, n, k, placed, group, forced, used):
-            # A consistent full assignment is a lettering already.
-            if depth + 1 == n or _completable(adj, n, k, order + [v], letters + [c]):
-                break
-        else:
+    state = _Completion(adj, g.n, k)
+    if not state.completable():
+        return None  # one exact search at the root decides an infeasible k
+    for _ in range(g.n):
+        state = next((child for child in state.children() if child.completable()), None)
+        if state is None:
             raise RuntimeError(
-                f"internal error: the completion test accepted a dead prefix at k={k}"
+                f"internal error: the completion search passed a dead prefix at k={k}"
             )
-        order.append(v)
-        letters.append(c)
-        group[c] |= 1 << v
-        placed |= 1 << v
-        used = max(used, c)
-        for a, bit in enumerate(pattern, 1):
-            forced[a, c] = bit
-    decoder = Decoder(used, frozenset(pair for pair, bit in forced.items() if bit))
-    return LetteringWitness(Lettering(tuple(letters), decoder), tuple(order))
+    order, letters = state.order, state.letters
+    # The decoder: every letter pair the word realizes as an edge.
+    word = list(zip(order, letters))
+    pairs = {(a, b) for j, (v, b) in enumerate(word) for u, a in word[:j] if adj[u] >> v & 1}
+    return LetteringWitness(Lettering(tuple(letters), Decoder(state.m, pairs)), tuple(order))
 
 
 def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:

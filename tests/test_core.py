@@ -1,7 +1,7 @@
 """Decode rule, word operations, decoder algebra, and the text formats."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lettergraphs import (
@@ -289,6 +289,46 @@ def test_parse_lettering_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_lettering("k 3\nw 10\nD")
     assert e.value.line == 2
+
+
+# Lettering-file texts: up to five lines, each a tag (or junk) and a payload
+# of digits and the separators the tokenizer splits on, with tabs and a
+# non-ASCII digit. Two thirds are k, w and D lines in order whose payloads
+# are whole tokens of the right kind (in half of them mixed with junk), so
+# that a fair share parses.
+JUNK = st.lists(
+    st.sampled_from(["1", "2", "3", "12", "0", "\u0663", ",", ":", "-", " ", "\t", "1:2", "2,1"]),
+    max_size=6,
+).map("".join)
+LINE_TAGS = st.sampled_from(["k ", "w ", "D ", "k", "w\t", "D:", "x ", ""])
+TOKENS = [
+    ("k ", ["3", "1", "12", "\u0663", "-1", "0"]),
+    ("w ", ["2,1,3", "3", "12", "2132132", "1,\u0663", ""]),
+    ("D ", ["1:2,3:1", "2:1", "1:1", ""]),
+]
+
+
+@st.composite
+def lettering_texts(draw):
+    shape = draw(st.sampled_from(["tokens", "mixed", "junk"]))
+    if shape == "junk":
+        lines = [draw(LINE_TAGS) + draw(JUNK) for _ in range(draw(st.integers(0, 5)))]
+    else:
+        junk = st.nothing() if shape == "tokens" else JUNK
+        lines = [tag + draw(st.sampled_from(tokens) | junk) for tag, tokens in TOKENS]
+    return "\n".join(lines)
+
+
+@settings(max_examples=1000)
+@given(lettering_texts())
+def test_parse_lettering_fuzz(text):
+    # Any text either parses to a lettering that round-trips or is refused
+    # with one of the two documented errors.
+    try:
+        lt = parse_lettering(text)
+    except (ParseError, InvalidLetteringError):
+        return
+    assert parse_lettering(format_lettering(lt)) == lt
 
 
 def test_parse_word_forms():

@@ -23,6 +23,7 @@ from lettergraphs import (
 )
 from naive_oracle import (
     all_graphs_up_to_iso,
+    dfs_prefixes,
     first_lettering,
     oracle_lettericity,
     prefix_liveness,
@@ -225,42 +226,75 @@ def test_root_completion_test_decides_k():
                 assert solver._completable(adj, n, k, [], []) == expected, (g, k)
 
 
+def test_placement_reaches_the_reference_prefixes():
+    # Placing one vertex at a time from the empty state, vertices and then
+    # letters ascending, reaches exactly the prefixes the plain DFS
+    # reference reaches, in the same order.
+    def reached(state):
+        yield tuple(state.order), tuple(state.letters)
+        for child in state.children():
+            yield from reached(child)
+
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            adj = g.adjacency_masks()
+            for k in range(n + 1):
+                got = list(reached(solver._Completion(adj, n, k)))
+                assert got == list(dfs_prefixes(g, k)), (g, k)
+
+
 def _first(g, k):
     w = is_k_letterable(g, k)
-    return None if w is None else (w.vertex_of_position, w.lettering.word)
+    return None if w is None else (w.vertex_of_position, w.lettering.word, w.lettering.decoder.pairs)
+
+
+def _reference_first(g, k):
+    # The reference's first lettering with its decoder: every letter pair
+    # the word realizes as an edge.
+    first = first_lettering(g, k)
+    if first is None:
+        return None
+    order, letters = first
+    pairs = frozenset(
+        (letters[i], letters[j])
+        for j in range(g.n)
+        for i in range(j)
+        if g.has_edge(order[i], order[j])
+    )
+    return order, letters, pairs
 
 
 def test_walk_finds_the_first_lettering():
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             for k in range(n + 1):
-                assert _first(g, k) == first_lettering(g, k), (g, k)
+                assert _first(g, k) == _reference_first(g, k), (g, k)
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_graphs(max_n=7), st.integers(0, 7))
 def test_walk_finds_the_first_lettering_of_labelled_graphs(g, k):
     k = min(k, g.n)
-    assert _first(g, k) == first_lettering(g, k)
+    assert _first(g, k) == _reference_first(g, k)
 
 
 def test_walk_fails_loudly_past_a_wrong_completion_answer(monkeypatch):
-    # A completion test that accepts every prefix leads the walk into dead
+    # A completion search that passes every prefix leads the walk into dead
     # ones. P_7 has no 2-lettering, so the walk must raise, not return one.
-    monkeypatch.setattr(solver, "_completable", lambda *args: True)
+    monkeypatch.setattr(solver._Completion, "completable", lambda self: True)
     with pytest.raises(RuntimeError, match="internal error"):
         is_k_letterable(path_graph(7), 2)
 
 
 def test_infeasible_k_costs_one_completion_call(monkeypatch):
-    completable = solver._completable
+    completable = solver._Completion.completable
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return completable(*args)
+    def counted(state):
+        calls.append(state)
+        return completable(state)
 
-    monkeypatch.setattr(solver, "_completable", counted)
+    monkeypatch.setattr(solver._Completion, "completable", counted)
     assert is_k_letterable(path_graph(7), 2) is None
     assert is_k_letterable(matching_graph(4), 3) is None
     assert len(calls) == 2

@@ -74,7 +74,9 @@ def decode(lettering: Lettering) -> Graph:
     Positions are grouped by letter, and each decoder pair whose letters
     both occur joins every position of its first letter to the later
     positions of its second. Work and memory follow the word length, the
-    decoder size and the edge count, never the alphabet size.
+    decoder size and the edge count, never the alphabet size. The edges
+    are collected as two flat lists of endpoints, a few list extensions per
+    position; the graph builds its edge set from them only if asked.
     """
     w = lettering.word
     pos: dict[int, list[int]] = {}
@@ -83,21 +85,26 @@ def decode(lettering: Lettering) -> Graph:
             pos[a].append(i)
         else:
             pos[a] = [i]
-    edges = []
-    add = edges.append
+    tails: list[int] = []
+    heads: list[int] = []
     for a, b in lettering.decoder.pairs:
         if a not in pos or b not in pos:
             continue
         later = pos[b]
         last = later[-1]
+        end = len(later) - 1
         start = 0
         for i in pos[a]:
             if i >= last:  # no position of b follows this i or any later one
                 break
             start = bisect_right(later, i, start)
-            for j in later[start:]:
-                add((i, j))
-    return Graph(len(w), frozenset(edges))
+            if start == end:  # one edge, the usual case in long sparse words
+                tails.append(i)
+                heads.append(last)
+            else:
+                heads += later[start:]
+                tails += [i] * (end + 1 - start)
+    return Graph._from_endpoints(len(w), tails, heads)
 
 
 def subword(word: Word, positions) -> Word:

@@ -4,18 +4,23 @@ Builders for the two structured families used throughout (paths and
 perfect matchings), linear-time recognizers for both, induced subgraphs,
 a small-graph isomorphism test, and edge-list / DOT serialization.
 
-A Graph carries one adjacency representation per regime, each built on
-first use. Small exact search (the solver, are_isomorphic, the audits)
-reads n-bit neighbor masks from adjacency_masks(); their size is quadratic
-in n, which is harmless below the search bounds. Long words (is_path,
-is_matching, degree) walk per-vertex neighbor lists, so recognizing a
-decoded path or matching stays linear in its size.
+A Graph keeps one adjacency representation per regime. Small exact search
+(the solver, are_isomorphic, the audits) reads n-bit neighbor masks from
+adjacency_masks(), built on first use; their size is quadratic in n, which
+is harmless below the search bounds. Long words keep their edges as two
+flat endpoint lists, filled by decode and the path and matching builders,
+and is_path, is_matching and degree read per-vertex degree and
+neighbor-XOR lists derived from them, so recognizing a decoded path or
+matching stays linear in its size and allocates no tuple per edge or
+vertex. The edge set itself, a frozenset of (u, v) tuples, is built only
+when a caller reads Graph.edges, compares or hashes the graph, or asks
+has_edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Iterable
+from dataclasses import FrozenInstanceError
 
 from .errors import CapabilityError, ParseError
 
@@ -24,19 +29,22 @@ from .errors import CapabilityError, ParseError
 ISOMORPHISM_VERTEX_LIMIT = 12
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Loopless undirected graph; edges stored as (u, v) pairs with u < v."""
+    """Loopless undirected graph; edges stored as (u, v) pairs with u < v.
 
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    Immutable, and equal and hashed by (n, edges). A graph is held as its
+    edge set (this constructor) or as flat endpoint lists (_from_endpoints,
+    for long words), whose edge set is built on first use.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        edges = self.edges if type(self.edges) is frozenset else tuple(self.edges)
-        # A frozenset of (u, v) tuples with u < v is kept as given: decode
-        # passes one for every decoded graph, and a copy would double it.
+    __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degree_xor")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        edges = edges if type(edges) is frozenset else tuple(edges)
+        # A frozenset of (u, v) tuples with u < v is kept as given; a copy
+        # would double it.
         keep = type(edges) is frozenset
         for e in edges:
             u, v = e
@@ -45,36 +53,101 @@ class Graph:
             if u > v:
                 u, v = v, u
                 keep = False
-            if u < 1 or v > self.n:
-                raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{self.n}")
+            if u < 1 or v > n:
+                raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{n}")
             keep = keep and type(e) is tuple
         if not keep:
             edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        object.__setattr__(self, "edges", edges)
+        self._init(n, edges, None)
 
-    @cached_property
-    def _adjacency(self) -> tuple[int, ...]:
-        masks = [0] * (self.n + 1)
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    @classmethod
+    def _from_endpoints(cls, n: int, tails: list[int], heads: list[int]) -> Graph:
+        """Graph whose edges are (tails[i], heads[i]), kept as these lists.
+
+        Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n and
+        no repeated pair, and hands the lists over.
+        """
+        g = object.__new__(cls)
+        g._init(n, None, (tails, heads))
+        return g
+
+    def _init(self, n, edges, ends) -> None:
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "_edges", edges)
+        init(self, "_ends", ends)
+        init(self, "_adjacency", None)
+        init(self, "_degree_xor", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the graph through the constructor.
+        return Graph, (self.n, self.edges)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        edges = self._edges
+        if edges is None:
+            edges = frozenset(zip(*self._ends))
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        # Edges in sorted order, so equal graphs print alike.
+        edges = f"{{{', '.join(map(repr, sorted(self._pairs())))}}}" if self._size() else ""
+        return f"Graph(n={self.n!r}, edges=frozenset({edges}))"
+
+    def _pairs(self) -> Iterable[tuple[int, int]]:
+        # The edges as (u, v) pairs, without building the edge set.
+        return self._edges if self._ends is None else zip(*self._ends)
+
+    def _size(self) -> int:
+        return len(self._edges) if self._ends is None else len(self._ends[0])
+
+    def _degrees_and_xors(self) -> tuple[list[int], list[int]]:
+        # Indexed by vertex: the degree, and the XOR of the neighbors. A
+        # vertex of degree at most 2 entered from neighbor p leaves to
+        # xor[v] ^ p, which is 0 when v has no other neighbor.
+        dx = self._degree_xor
+        if dx is None:
+            deg = [0] * (self.n + 1)
+            xor = [0] * (self.n + 1)
+            for u, v in self._pairs():
+                deg[u] += 1
+                deg[v] += 1
+                xor[u] ^= v
+                xor[v] ^= u
+            dx = deg, xor
+            object.__setattr__(self, "_degree_xor", dx)
+        return dx
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks indexed by vertex: bit v of masks[u] marks edge u-v."""
-        return self._adjacency
-
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        # Neighbor lists indexed by vertex, in no particular order.
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
+        masks = self._adjacency
+        if masks is None:
+            rows = [0] * (self.n + 1)
+            for u, v in self._pairs():
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            masks = tuple(rows)
+            object.__setattr__(self, "_adjacency", masks)
+        return masks
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return self._degrees_and_xors()[0][v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -84,14 +157,14 @@ def path_graph(n: int) -> Graph:
     """P_n: vertices 1..n in path order, edges {i, i+1}."""
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
-    return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
+    return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)))
 
 
 def matching_graph(r: int) -> Graph:
     """rK_2: r disjoint edges {2i-1, 2i} on vertices 1..2r."""
     if r < 1:
         raise ValueError(f"matching needs at least one edge, got r={r}")
-    return Graph(2 * r, frozenset((2 * i - 1, 2 * i) for i in range(1, r + 1)))
+    return Graph._from_endpoints(2 * r, list(range(1, 2 * r, 2)), list(range(2, 2 * r + 1, 2)))
 
 
 def is_path(g: Graph) -> tuple[int, ...] | None:
@@ -104,37 +177,28 @@ def is_path(g: Graph) -> tuple[int, ...] | None:
         return None
     if g.n == 1:
         return (1,)
-    if len(g.edges) != g.n - 1:
+    if g._size() != g.n - 1:
         return None
-    nbrs = g._neighbors
-    ends = []
-    for v in range(1, g.n + 1):
-        d = len(nbrs[v])
-        if d > 2:
-            return None
-        if d == 1:
-            ends.append(v)
-    if len(ends) != 2:
+    deg, xor = g._degrees_and_xors()
+    if max(deg) > 2 or 1 not in deg:  # a branch, or no end at all
         return None
     # Every degree is at most 2, so the walk from an end cannot revisit a
     # vertex; it covers all n vertices unless it reaches the other end
-    # early, which leaves the remaining edges on disjoint cycles.
-    order = [ends[0]]
-    prev, cur = 0, ends[0]
+    # early (next vertex 0), which leaves the remaining edges on disjoint
+    # cycles.
+    prev, cur = 0, deg.index(1)
+    order = [cur]
     for _ in range(g.n - 1):
-        adj = nbrs[cur]
-        nxt = adj[0] if adj[0] != prev else adj[-1]
-        if nxt == prev:
+        prev, cur = cur, xor[cur] ^ prev
+        if cur == 0:
             return None
-        order.append(nxt)
-        prev, cur = cur, nxt
+        order.append(cur)
     return tuple(order)
 
 
 def is_matching(g: Graph) -> bool:
     """True iff every vertex has degree exactly 1 (g is a perfect matching)."""
-    nbrs = g._neighbors
-    return all(len(nbrs[v]) == 1 for v in range(1, g.n + 1))
+    return g._degrees_and_xors()[0].count(1) == g.n
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -160,7 +224,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
                 f"vertices (got {x.n}); certify structured targets with "
                 f"is_path or is_matching instead"
             )
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or g._size() != h._size():
         return False
     n = g.n
     gm, hm = g.adjacency_masks(), h.adjacency_masks()
@@ -251,14 +315,14 @@ def parse_edge_list(text: str) -> Graph:
 
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in sorted order."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines = [f"{g.n} {g._size()}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g._pairs()))
     return "\n".join(lines)
 
 
 def to_dot(g: Graph) -> str:
     lines = ["graph {"]
     lines.extend(f"  {v};" for v in range(1, g.n + 1))
-    lines.extend(f"  {u} -- {v};" for u, v in sorted(g.edges))
+    lines.extend(f"  {u} -- {v};" for u, v in sorted(g._pairs()))
     lines.append("}")
     return "\n".join(lines)

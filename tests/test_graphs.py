@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from lettergraphs import (
     CapabilityError,
+    Decoder,
     Graph,
+    Lettering,
     ParseError,
     are_isomorphic,
+    decode,
     induced_subgraph,
     is_matching,
     is_path,
@@ -28,6 +31,66 @@ def graphs(draw, max_n=8):
     all_pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
     edges = frozenset(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else frozenset()
     return Graph(n, edges)
+
+
+@st.composite
+def random_letterings(draw, max_n=40, max_k=6):
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(0, max_n))
+    word = tuple(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    all_pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
+    pairs = frozenset(draw(st.sets(st.sampled_from(all_pairs))))
+    return Lettering(word, Decoder(k, pairs))
+
+
+def assert_same_graph(g, h):
+    """g, freshly built by decode or a builder, behaves as h, built from
+    its edge set. What needs no edge set is compared first, while g has
+    not built one yet."""
+    n = h.n
+    assert g.n == n
+    assert [g.degree(v) for v in range(1, n + 1)] == [h.degree(v) for v in range(1, n + 1)]
+    assert is_path(g) == is_path(h)
+    assert is_matching(g) == is_matching(h)
+    assert g.adjacency_masks() == h.adjacency_masks()
+    assert serialize_edge_list(g) == serialize_edge_list(h)
+    assert to_dot(g) == to_dot(h)
+    assert repr(g) == repr(h)
+    assert g == h and not g != h
+    assert hash(g) == hash(h) == hash((n, h.edges))
+    assert g.edges == h.edges and type(g.edges) is frozenset
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            assert g.has_edge(u, v) == h.has_edge(u, v)
+
+
+@given(random_letterings())
+def test_decoded_graph_behaves_as_its_edge_set(lt):
+    w, pairs = lt.word, lt.decoder.pairs
+    by_definition = frozenset(
+        (i, j)
+        for i in range(1, len(w) + 1)
+        for j in range(i + 1, len(w) + 1)
+        if (w[i - 1], w[j - 1]) in pairs
+    )
+    assert_same_graph(decode(lt), Graph(len(w), by_definition))
+
+
+def test_builders_behave_as_their_edge_sets():
+    for n in range(1, 30):
+        assert_same_graph(path_graph(n), Graph(n, frozenset((i, i + 1) for i in range(1, n))))
+    for r in range(1, 15):
+        edges = frozenset((2 * i - 1, 2 * i) for i in range(1, r + 1))
+        assert_same_graph(matching_graph(r), Graph(2 * r, edges))
+
+
+def test_graphs_are_immutable():
+    lt = Lettering((2, 1, 3, 2, 1, 3, 2), Decoder(3, frozenset({(2, 1), (3, 2)})))
+    for g in (decode(lt), path_graph(7), Graph(7, path_graph(7).edges)):
+        for name, value in (("n", 8), ("edges", frozenset())):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert g.n == 7 and len(g.edges) == 6
 
 
 def test_graph_normalizes_edge_orientation():
@@ -88,6 +151,82 @@ def test_is_path_beyond_isomorphism_bound():
     short = path_graph(n - 3).edges | {(n - 2, n - 1), (n - 1, n), (n - 2, n)}
     assert len(short) == n - 1
     assert is_path(Graph(n, short)) is None
+
+
+def union_of_paths_and_cycles(components, perm) -> Graph:
+    """Disjoint paths and cycles, given as (vertex count, is cycle) pairs,
+    laid out in order and relabelled by perm (vertex v becomes perm[v-1])."""
+    edges = []
+    first = 1
+    for size, cycle in components:
+        last = first + size - 1
+        edges += [(v, v + 1) for v in range(first, last)]
+        if cycle:
+            edges.append((last, first))
+        first = last + 1
+    return Graph(len(perm), frozenset((perm[u - 1], perm[v - 1]) for u, v in edges))
+
+
+def check_recognizers(g: Graph) -> None:
+    """is_path and is_matching against a union-find reference."""
+    parent = list(range(g.n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    degree = [0] * (g.n + 1)
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+        parent[root(u)] = root(v)
+    components = len({root(v) for v in range(1, g.n + 1)})
+    # A connected graph with n - 1 edges is a tree; with degrees <= 2, a path.
+    path = g.n >= 1 and components == 1 and len(g.edges) == g.n - 1 and max(degree) <= 2
+    order = is_path(g)
+    if not path:
+        assert order is None
+    else:
+        assert sorted(order) == list(range(1, g.n + 1))
+        assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+        ends = [v for v in range(1, g.n + 1) if degree[v] <= 1]
+        assert order[0] == min(ends)
+    assert is_matching(g) == all(degree[v] == 1 for v in range(1, g.n + 1))
+
+
+@st.composite
+def paths_and_cycles(draw, max_n=60):
+    components = []
+    n = 0
+    for size, cycle in draw(st.lists(st.tuples(st.integers(1, 20), st.booleans()), max_size=6)):
+        size = max(size, 3) if cycle else size
+        if n + size > max_n:
+            break
+        components.append((size, cycle))
+        n += size
+    return union_of_paths_and_cycles(components, draw(st.permutations(range(1, n + 1))))
+
+
+@given(paths_and_cycles())
+def test_recognizers_on_paths_and_cycles(g):
+    check_recognizers(g)
+
+
+def test_recognizers_on_near_paths():
+    rng = random.Random(11)
+    for n in range(3, 61):
+        shapes = [[(n, True)], [(n, False)]]  # a lone cycle, a path
+        shapes += [[(a, False), (n - a, False)] for a in (1, n // 2, n - 1)]  # two paths
+        if n >= 4:
+            # a path plus a disjoint cycle: n - 1 edges, like a path on n vertices
+            shapes += [[(n - c, False), (c, True)] for c in (3, n - 1)]
+            shapes += [[(c, True), (n - c, False)] for c in (3, n - 1)]
+        for components in shapes:
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            for labels in (range(1, n + 1), perm):
+                check_recognizers(union_of_paths_and_cycles(components, list(labels)))
 
 
 def test_is_matching_beyond_isomorphism_bound():

@@ -13,6 +13,7 @@ from lettergraphs import (
     decode,
     enumerate_letterings,
     is_k_letterable,
+    is_path,
     lettericity_exact,
     matching_graph,
     path_graph,
@@ -81,6 +82,17 @@ def test_graph_keeps_a_normalized_edge_set():
     # the graph must not copy it.
     edges = frozenset((i, i + 1) for i in range(1, 100_000))
     assert peak_bytes(Graph, 100_000, edges) < 100_000
+
+
+def test_decode_holds_no_tuple_per_edge():
+    # A decoded graph keeps flat endpoint lists and builds its edge set of
+    # tuples only when asked: decoding a 16k-vertex path peaks near 1.5 MB,
+    # and near 2.8 MB with a tuple per edge in a frozenset.
+    lt = path_lettering(16000)
+    assert peak_bytes(decode, lt) < 2_000_000
+    # The path check reads flat degree and neighbor-XOR lists: about 1.75 MB
+    # together with the decode, and 4.3 MB with a neighbor tuple per vertex.
+    assert peak_bytes(lambda: is_path(decode(lt))) < 2_500_000
 
 
 def test_path_lettering_memory_grows_linearly():

@@ -3,10 +3,13 @@
 Paths admit letterings with floor((n+4)/3) letters and no fewer; the word
 built here realizes that alphabet size for every n >= 3 and is re-decoded
 and path-checked before being returned, so a successful call is its own
-certificate.
+certificate. The decoded graph stays on the returned lettering, so a later
+decode or verify_lettering of it does not decode the word again.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .core import Decoder, Lettering, decode
 from .graphs import is_path
@@ -39,17 +42,18 @@ def path_lettering(n: int) -> Lettering:
             f"P_2 are single-letter: words (1) and (1,1)"
         )
     r = (n + 1) // 3
+    # letters[j] is j: every occurrence of a letter and its decoder pairs
+    # share one int object.
+    letters = list(range(r + 2))
     word = [2, 1]
-    for j in range(2, r + 1):
-        word.extend((j + 1, j, j - 1))
-    word.extend((r + 1, r))
+    # the blocks (j+1, j, j-1) for j = 2..r
+    word += chain.from_iterable(zip(letters[3:], letters[2 : r + 1], letters[1:r]))
+    word += (letters[r + 1], letters[r])
     if n <= 3 * r:
-        word.remove(1)  # drops the first occurrence
+        del word[1]  # the first occurrence of 1
     if n == 3 * r - 1:
-        # drop the last occurrence of r+1
-        idx = len(word) - 1 - word[::-1].index(r + 1)
-        del word[idx]
-    decoder = Decoder(r + 1, frozenset((j + 1, j) for j in range(1, r + 1)))
+        del word[-2]  # the last occurrence of r+1
+    decoder = Decoder(r + 1, frozenset(zip(letters[2:], letters[1:])))
     lettering = Lettering(tuple(word), decoder)
     g = decode(lettering)
     if g.n != n or is_path(g) is None:
@@ -62,11 +66,9 @@ def matching_base_lettering(r: int) -> Lettering:
     decoder {(j+1, j)}; block j decodes to the edge {2j-1, 2j}."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    word = []
-    for j in range(1, r + 1):
-        word.extend((j + 1, j))
-    decoder = Decoder(r + 1, frozenset((j + 1, j) for j in range(1, r + 1)))
-    return Lettering(tuple(word), decoder)
+    letters = list(range(r + 2))
+    pairs = list(zip(letters[2:], letters[1:]))  # block j is the pair (j+1, j)
+    return Lettering(tuple(chain.from_iterable(pairs)), Decoder(r + 1, frozenset(pairs)))
 
 
 def matching_canonical_lettering(r: int) -> Lettering:
@@ -74,8 +76,6 @@ def matching_canonical_lettering(r: int) -> Lettering:
     decoder {(a, a)}; each letter's two positions form one edge."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    word = []
-    for a in range(1, r + 1):
-        word.extend((a, a))
-    decoder = Decoder(r, frozenset((a, a) for a in range(1, r + 1)))
-    return Lettering(tuple(word), decoder)
+    letters = list(range(1, r + 1))
+    pairs = list(zip(letters, letters))  # letter a's block is the pair (a, a)
+    return Lettering(tuple(chain.from_iterable(pairs)), Decoder(r, frozenset(pairs)))

@@ -5,12 +5,20 @@ A word is a tuple of positive integer letters. A decoder over alphabet
 produces a graph on positions 1..n: positions i < j are adjacent exactly
 when (w_i, w_j) is in the decoder. Pair order matters and always reads
 (letter of the earlier position, letter of the later position).
+
+Words and decoders are immutable, and so is the graph a lettering decodes
+to: decode computes it on a lettering's first call and returns that same
+graph afterwards, so a certificate, a verification and a caller's own
+decode of one lettering share one decoding. A word given as a tuple of
+ints and a decoder given as a frozenset of int pairs are kept as given,
+so building a lettering copies neither.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
 from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, are_isomorphic, is_matching, is_path
@@ -26,40 +34,66 @@ class Decoder:
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        if self.alphabet_size < 0:
-            raise InvalidLetteringError(
-                f"alphabet size must be >= 0, got {self.alphabet_size}"
-            )
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        for a, b in pairs:
-            if not (1 <= a <= self.alphabet_size and 1 <= b <= self.alphabet_size):
-                raise InvalidLetteringError(
-                    f"decoder pair ({a},{b}) outside alphabet 1..{self.alphabet_size}"
-                )
+        k = self.alphabet_size
+        if k < 0:
+            raise InvalidLetteringError(f"alphabet size must be >= 0, got {k}")
+        pairs = self.pairs
+        # A frozenset of (int, int) tuples is kept as given; anything else is
+        # normalized into one. The checks run in C, over the pairs and over
+        # one flat list of their letters.
+        letters = None
+        if type(pairs) is frozenset and {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
+            letters = [*chain.from_iterable(pairs)]
+        if letters is None or not {*map(type, letters)} <= {int}:
+            pairs = frozenset((int(a), int(b)) for a, b in pairs)
+            object.__setattr__(self, "pairs", pairs)
+            letters = [*chain.from_iterable(pairs)]
+        if letters and (min(letters) < 1 or max(letters) > k):
+            for a, b in pairs:
+                if not (1 <= a <= k and 1 <= b <= k):
+                    raise InvalidLetteringError(
+                        f"decoder pair ({a},{b}) outside alphabet 1..{k}"
+                    )
 
 
 @dataclass(frozen=True)
 class Lettering:
-    """A word together with a decoder whose alphabet covers it."""
+    """A word together with a decoder whose alphabet covers it.
+
+    Equal, hashed, printed, copied and pickled by its word and decoder
+    alone. decode keeps the lettering's graph on it after the first call;
+    that graph is not a field.
+    """
 
     word: Word
     decoder: Decoder
 
+    # The decoded graph, set by decode on first use.
+    _graph = None
+
     def __post_init__(self):
-        # From a list, not a generator: tuple() resizes a tuple built from a
-        # generator, so it never reuses a freed tuple of its length but
-        # joins that length's free list when freed, which then fills up.
-        w = tuple([int(a) for a in self.word])
-        object.__setattr__(self, "word", w)
+        w = self.word
+        # A tuple of ints is kept as given; anything else is normalized.
+        if type(w) is not tuple or not {*map(type, w)} <= {int}:
+            # From a list, not a generator: tuple() resizes a tuple built
+            # from a generator, so it never reuses a freed tuple of its
+            # length but joins that length's free list when freed, which
+            # then fills up.
+            w = tuple([int(a) for a in w])
+            object.__setattr__(self, "word", w)
         k = self.decoder.alphabet_size
-        for i, a in enumerate(w, start=1):
-            if a < 1:
-                raise InvalidLetteringError(f"letter at position {i} must be >= 1, got {a}")
-            if a > k:
-                raise InvalidLetteringError(
-                    f"letter {a} at position {i} exceeds decoder alphabet 1..{k}"
-                )
+        if w and (min(w) < 1 or max(w) > k):
+            for i, a in enumerate(w, start=1):
+                if a < 1:
+                    raise InvalidLetteringError(f"letter at position {i} must be >= 1, got {a}")
+                if a > k:
+                    raise InvalidLetteringError(
+                        f"letter {a} at position {i} exceeds decoder alphabet 1..{k}"
+                    )
+
+    def __getstate__(self):
+        # copy and pickle carry the fields only, never the decoded graph.
+        return {"word": self.word, "decoder": self.decoder}
 
     @property
     def alphabet_size(self) -> int:
@@ -77,7 +111,14 @@ def decode(lettering: Lettering) -> Graph:
     decoder size and the edge count, never the alphabet size. The edges
     are collected as two flat lists of endpoints, a few list extensions per
     position; the graph builds its edge set from them only if asked.
+
+    The graph is computed once per lettering and kept on it: later calls
+    return the same Graph object, which is safe because lettering and
+    graph are both immutable.
     """
+    g = lettering._graph
+    if g is not None:
+        return g
     w = lettering.word
     pos: dict[int, list[int]] = {}
     for i, a in enumerate(w, start=1):
@@ -104,7 +145,9 @@ def decode(lettering: Lettering) -> Graph:
             else:
                 heads += later[start:]
                 tails += [i] * (end + 1 - start)
-    return Graph._from_endpoints(len(w), tails, heads)
+    g = Graph._from_endpoints(len(w), tails, heads)
+    object.__setattr__(lettering, "_graph", g)
+    return g
 
 
 def subword(word: Word, positions) -> Word:
@@ -157,9 +200,11 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
         m = tuple([int(v) for v in mapping])  # a list, as in Lettering
         if sorted(m) != list(range(1, n + 1)):
             raise ValueError("mapping must be a bijection onto vertices 1..n")
+        # Read the endpoint pairs, not decoded.edges: the lettering keeps its
+        # graph, which would then keep that edge set too.
         relabelled = frozenset(
             (min(m[u - 1], m[v - 1]), max(m[u - 1], m[v - 1]))
-            for u, v in decoded.edges
+            for u, v in decoded._pairs()
         )
         return relabelled == target.edges
     if n <= ISOMORPHISM_VERTEX_LIMIT:

@@ -4,6 +4,8 @@ import pytest
 
 from lettergraphs import (
     Decoder,
+    Graph,
+    Lettering,
     decode,
     is_matching,
     is_path,
@@ -11,6 +13,7 @@ from lettergraphs import (
     matching_canonical_lettering,
     matching_graph,
     path_lettericity,
+    path_graph,
     path_lettering,
     verify_lettering,
 )
@@ -39,6 +42,52 @@ def test_path_lettering_words():
     assert path_lettering(7).word == (2, 1, 3, 2, 1, 3, 2)
     assert path_lettering(7).decoder == Decoder(3, frozenset({(2, 1), (3, 2)}))
     assert path_lettering(10).word == (2, 1, 3, 2, 1, 4, 3, 2, 4, 3)
+
+
+def test_path_lettering_matches_the_searched_construction():
+    # The construction as first written: build the base word, then search
+    # for the occurrences to drop.
+    def reference(n):
+        r = (n + 1) // 3
+        word = [2, 1]
+        for j in range(2, r + 1):
+            word.extend((j + 1, j, j - 1))
+        word.extend((r + 1, r))
+        if n <= 3 * r:
+            word.remove(1)
+        if n == 3 * r - 1:
+            del word[len(word) - 1 - word[::-1].index(r + 1)]
+        return tuple(word), Decoder(r + 1, frozenset((j + 1, j) for j in range(1, r + 1)))
+
+    for n in range(3, 301):
+        lt = path_lettering(n)
+        assert (lt.word, lt.decoder) == reference(n), n
+
+
+def test_path_lettering_shares_letter_ints():
+    lt = path_lettering(3000)
+    first = {}
+    assert all(first.setdefault(a, a) is a for a in lt.word)
+    assert all(first[a] is a and first[b] is b for a, b in lt.decoder.pairs)
+
+
+def test_path_certificate_is_the_decoded_graph(monkeypatch):
+    # path_lettering's own certificate, verify_lettering and a later decode
+    # share one decoding.
+    target = path_graph(500)  # built before counting: path_graph uses the same constructor
+    built = []
+    from_endpoints = Graph._from_endpoints.__func__
+
+    def counting(cls, n, tails, heads):
+        built.append(n)
+        return from_endpoints(cls, n, tails, heads)
+
+    monkeypatch.setattr(Graph, "_from_endpoints", classmethod(counting))
+    lt = path_lettering(500)
+    assert verify_lettering(lt, target)
+    g = decode(lt)
+    assert built == [500]
+    assert is_path(g) is not None
 
 
 def test_path_lettering_rejects_small_n():
@@ -82,6 +131,18 @@ def test_matching_letterings_sweep():
             assert g == matching_graph(r)
             assert is_matching(g)
             assert verify_lettering(lt, matching_graph(r), tuple(range(1, 2 * r + 1)))
+
+
+def test_matching_letterings_match_the_block_construction():
+    for r in range(1, 101):
+        base = [x for j in range(1, r + 1) for x in (j + 1, j)]
+        canon = [x for a in range(1, r + 1) for x in (a, a)]
+        assert matching_base_lettering(r) == Lettering(
+            tuple(base), Decoder(r + 1, frozenset((j + 1, j) for j in range(1, r + 1)))
+        )
+        assert matching_canonical_lettering(r) == Lettering(
+            tuple(canon), Decoder(r, frozenset((a, a) for a in range(1, r + 1)))
+        )
 
 
 def test_matching_letterings_reject_bad_r():

@@ -1,5 +1,9 @@
 """Decode rule, word operations, decoder algebra, and the text formats."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +105,69 @@ def test_decoder_rejects_pairs_beyond_alphabet():
         Decoder(2, frozenset({(9, 9)}))
     with pytest.raises(InvalidLetteringError):
         Decoder(-1)
+
+
+def test_invalid_lettering_messages():
+    cases = [
+        (lambda: Lettering((1, 0, 4), Decoder(3)), "letter at position 2 must be >= 1, got 0"),
+        (lambda: Lettering((1, 4, 0), Decoder(3)), "letter 4 at position 2 exceeds decoder alphabet 1..3"),
+        (lambda: Lettering([1, "5"], Decoder(3)), "letter 5 at position 2 exceeds decoder alphabet 1..3"),
+        (lambda: Lettering((True, False), Decoder(3)), "letter at position 2 must be >= 1, got 0"),
+        (lambda: Decoder(2, frozenset({(9, 9)})), "decoder pair (9,9) outside alphabet 1..2"),
+        (lambda: Decoder(2, frozenset({(1, 0)})), "decoder pair (1,0) outside alphabet 1..2"),
+        (lambda: Decoder(2, [[1, "3"]]), "decoder pair (1,3) outside alphabet 1..2"),
+        (lambda: Decoder(-1), "alphabet size must be >= 0, got -1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InvalidLetteringError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_lettering_and_decoder_keep_normalized_input():
+    word = (2, 1, 3, 2, 1, 3, 2)
+    pairs = frozenset({(2, 1), (3, 2)})
+    lt = Lettering(word, Decoder(3, pairs))
+    assert lt.word is word and lt.decoder.pairs is pairs
+    # Anything else is normalized to a tuple of ints and a frozenset of
+    # int pairs, as before.
+    for w in ([2, 1, 3], "213", (2, True, 3), (2, 1.0, 3)):
+        got = Lettering(w, Decoder(3)).word
+        assert got == (2, 1, 3) and type(got) is tuple
+        assert all(type(a) is int for a in got)
+    for p in ({(2, 1)}, [[2, 1]], frozenset({("2", 1)}), frozenset({(2, True)}), frozenset({(2.0, 1)})):
+        got = Decoder(3, p).pairs
+        assert got == frozenset({(2, 1)}) and type(got) is frozenset
+        assert all(type(e) is tuple and type(a) is int for e in got for a in e)
+
+
+def test_decode_returns_one_graph_per_lettering():
+    lt = Lettering(P7_LETTERING.word, P7_LETTERING.decoder)
+    g = decode(lt)
+    assert decode(lt) is g
+    # An equal lettering decodes its own word.
+    other = Lettering(lt.word, lt.decoder)
+    assert decode(other) == g and decode(other) is not g
+    # replace builds a new lettering, which decodes its new word.
+    swapped = dataclasses.replace(lt, word=(1, 2, 1, 3, 2, 1, 3))
+    assert decode(swapped) is not g
+    assert decode(swapped) == decode(Lettering((1, 2, 1, 3, 2, 1, 3), lt.decoder))
+
+
+def test_decoded_lettering_behaves_like_an_undecoded_one():
+    fresh = Lettering(P7_LETTERING.word, P7_LETTERING.decoder)
+    decoded = Lettering(P7_LETTERING.word, P7_LETTERING.decoder)
+    decode(decoded)
+    assert decoded == fresh and hash(decoded) == hash(fresh)
+    assert repr(decoded) == repr(fresh)
+    assert pickle.dumps(decoded) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(decoded)) == fresh
+    assert dataclasses.astuple(decoded) == dataclasses.astuple(fresh)
+    assert [f.name for f in dataclasses.fields(decoded)] == ["word", "decoder"]
+    for dup in (copy.copy(decoded), copy.deepcopy(decoded), pickle.loads(pickle.dumps(decoded))):
+        assert dup == fresh
+        assert decode(dup) == decode(decoded)
+        assert decode(dup) is not decode(decoded)
 
 
 def test_unused_decoder_letters_do_not_count():

@@ -18,6 +18,7 @@ from lettergraphs import (
     matching_graph,
     path_graph,
     path_lettering,
+    verify_lettering,
 )
 from lettergraphs.cli import main
 
@@ -55,6 +56,8 @@ def test_search_leaves_no_reference_cycles():
             assert are_isomorphic(path_graph(n), path_graph(n))
         enumerate_letterings(matching_graph(2), 2)
         enumerate_letterings(matching_graph(3), 3)  # computes stabilizer orbits
+        # A lettering keeps its decoded graph; the graph points nowhere back.
+        assert verify_lettering(path_lettering(50), path_graph(50))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -72,6 +75,13 @@ def test_enumeration_shares_equal_decoders():
     try:
         held = enumerate_letterings(path_graph(8), 4)
         assert tracemalloc.get_traced_memory()[0] < 90_000
+        # Each verified lettering keeps its decoded graph, as endpoint
+        # lists only: about 110 kB in all, and 200 kB if the graphs kept
+        # their edge sets.
+        target = path_graph(8)
+        assert all(verify_lettering(w.lettering, target, w.vertex_of_position) for w in held.witnesses)
+        del target
+        assert tracemalloc.get_traced_memory()[0] < 130_000
     finally:
         tracemalloc.stop()
     assert held == result
@@ -88,11 +98,24 @@ def test_decode_holds_no_tuple_per_edge():
     # A decoded graph keeps flat endpoint lists and builds its edge set of
     # tuples only when asked: decoding a 16k-vertex path peaks near 1.5 MB,
     # and near 2.8 MB with a tuple per edge in a frozenset.
+    # path_lettering has decoded its own lettering, and decode keeps that
+    # graph, so each check decodes a fresh lettering of the same word.
     lt = path_lettering(16000)
-    assert peak_bytes(decode, lt) < 2_000_000
+    assert peak_bytes(decode, Lettering(lt.word, lt.decoder)) < 2_000_000
     # The path check reads flat degree and neighbor-XOR lists: about 1.75 MB
     # together with the decode, and 4.3 MB with a neighbor tuple per vertex.
-    assert peak_bytes(lambda: is_path(decode(lt))) < 2_500_000
+    assert peak_bytes(lambda: is_path(decode(Lettering(lt.word, lt.decoder)))) < 2_500_000
+
+
+def test_lettering_keeps_a_normalized_word_and_decoder():
+    # A tuple of ints and a frozenset of int pairs are kept, not copied:
+    # copying them peaks near 1.6 MB and 10.7 MB. Checking the decoder's
+    # letters takes one flat list of them, 1.6 MB.
+    word = tuple(range(1, 100_001))
+    pairs = frozenset((a + 1, a) for a in range(1, 100_000))
+    decoder = Decoder(100_000, pairs)
+    assert peak_bytes(Lettering, word, decoder) < 10_000
+    assert peak_bytes(Decoder, 100_000, pairs) < 2_000_000
 
 
 def test_path_lettering_memory_grows_linearly():

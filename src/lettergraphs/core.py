@@ -6,6 +6,11 @@ produces a graph on positions 1..n: positions i < j are adjacent exactly
 when (w_i, w_j) is in the decoder. Pair order matters and always reads
 (letter of the earlier position, letter of the later position).
 
+decode links each position to the previous and next positions of its
+letter in one pass over the word, then walks those links for each decoder
+pair, so its work follows the word length, the decoder size and the edge
+count.
+
 Words and decoders are immutable, and so is the graph a lettering decodes
 to: decode computes it on a lettering's first call and returns that same
 graph afterwards, so a certificate, a verification and a caller's own
@@ -16,7 +21,6 @@ so building a lettering copies neither.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
@@ -105,12 +109,20 @@ class Lettering:
 def decode(lettering: Lettering) -> Graph:
     """Letter graph of the word: edge {i, j} for i < j iff (w_i, w_j) in D.
 
-    Positions are grouped by letter, and each decoder pair whose letters
-    both occur joins every position of its first letter to the later
-    positions of its second. Work and memory follow the word length, the
-    decoder size and the edge count, never the alphabet size. The edges
-    are collected as two flat lists of endpoints, a few list extensions per
-    position; the graph builds its edge set from them only if asked.
+    One pass over the word links each position to the other positions of
+    its letter: prev[i] is the previous one (0 at a letter's first
+    position), ring[i] the next one, where a letter's last position links
+    back to its first; last maps each letter to its last position. Each
+    decoder pair (a, b) then walks a's positions up from its first, while
+    some position of b follows, and for each such i walks b's positions
+    down from its last while they follow i. Every position of a visited
+    yields at least one edge, so the work is O(n + |D| + edges), never
+    growing with the alphabet size, and nothing is kept per letter beyond
+    its entry in last. Walking a's positions down from its last instead
+    would pass every position of a after b's last for each pair, k * m
+    steps for a letter with m such positions in k pairs. The edges are
+    collected as two flat lists of endpoints; the graph builds its edge set
+    from them only if asked.
 
     The graph is computed once per lettering and kept on it: later calls
     return the same Graph object, which is safe because lettering and
@@ -120,32 +132,35 @@ def decode(lettering: Lettering) -> Graph:
     if g is not None:
         return g
     w = lettering.word
-    pos: dict[int, list[int]] = {}
+    n = len(w)
+    prev = [0] * (n + 1)
+    ring = [0] * (n + 1)
+    last: dict[int, int] = {}
     for i, a in enumerate(w, start=1):
-        if a in pos:
-            pos[a].append(i)
-        else:
-            pos[a] = [i]
+        p = last.get(a, 0)
+        prev[i] = p
+        # i takes over the link back to the letter's first position from p,
+        # or starts it at a first position; ring[0] takes the other write.
+        ring[i] = ring[p] if p else i
+        ring[p] = i
+        last[a] = i
+    ring[0] = n + 1  # where an absent letter's positions would start
     tails: list[int] = []
     heads: list[int] = []
     for a, b in lettering.decoder.pairs:
-        if a not in pos or b not in pos:
-            continue
-        later = pos[b]
-        last = later[-1]
-        end = len(later) - 1
-        start = 0
-        for i in pos[a]:
-            if i >= last:  # no position of b follows this i or any later one
-                break
-            start = bisect_right(later, i, start)
-            if start == end:  # one edge, the usual case in long sparse words
+        la = last.get(a, 0)
+        lb = last.get(b, 0)
+        i = ring[la]
+        while i < lb:
+            j = lb
+            while j > i:
                 tails.append(i)
-                heads.append(last)
-            else:
-                heads += later[start:]
-                tails += [i] * (end + 1 - start)
-    g = Graph._from_endpoints(len(w), tails, heads)
+                heads.append(j)
+                j = prev[j]
+            if i == la:  # the ring would go back to a's first position
+                break
+            i = ring[i]
+    g = Graph._from_endpoints(n, tails, heads)
     object.__setattr__(lettering, "_graph", g)
     return g
 
@@ -233,7 +248,10 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
 
 
 def format_lettering(lettering: Lettering) -> str:
-    w = ",".join(str(a) for a in lettering.word)
+    word = lettering.word
+    # Joined from slices of 4096 letters, so only one slice's letters are
+    # held as separate strings at a time.
+    w = ",".join([",".join(map(str, word[i : i + 4096])) for i in range(0, len(word), 4096)])
     d = ",".join(f"{a}:{b}" for a, b in sorted(lettering.decoder.pairs))
     return "\n".join(
         [

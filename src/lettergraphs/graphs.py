@@ -8,19 +8,20 @@ A Graph keeps one adjacency representation per regime. Small exact search
 (the solver, are_isomorphic, the audits) reads n-bit neighbor masks from
 adjacency_masks(), built on first use; their size is quadratic in n, which
 is harmless below the search bounds. Long words keep their edges as two
-flat endpoint lists, filled by decode and the path and matching builders,
-and is_path, is_matching and degree read per-vertex degree and
-neighbor-XOR lists derived from them, so recognizing a decoded path or
-matching stays linear in its size and allocates no tuple per edge or
-vertex. The edge set itself, a frozenset of (u, v) tuples, is built only
-when a caller reads Graph.edges, compares or hashes the graph, or asks
-has_edge.
+flat endpoint lists, filled by decode and the path and matching builders.
+is_path and degree read per-vertex degree and neighbor-XOR lists derived
+from them, and is_matching one set of the endpoints, so recognizing a
+decoded path or matching stays linear in its size and allocates no tuple
+per edge or vertex. The edge set itself, a frozenset of (u, v) tuples, is
+built only when a caller reads Graph.edges, compares or hashes the graph,
+or asks has_edge.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import FrozenInstanceError
+from itertools import chain
 
 from .errors import CapabilityError, ParseError
 
@@ -197,8 +198,17 @@ def is_path(g: Graph) -> tuple[int, ...] | None:
 
 
 def is_matching(g: Graph) -> bool:
-    """True iff every vertex has degree exactly 1 (g is a perfect matching)."""
-    return g._degrees_and_xors()[0].count(1) == g.n
+    """True iff every vertex has degree exactly 1 (g is a perfect matching).
+
+    That holds exactly when the m edges have 2m = n endpoints and no two
+    are equal, which one set of the endpoints decides.
+    """
+    if 2 * g._size() != g.n:
+        return False
+    ends = g._ends
+    if ends is None:
+        return len({*chain.from_iterable(g._edges)}) == g.n
+    return len({*ends[0], *ends[1]}) == g.n
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from lettergraphs import (
     parse_lettering,
     parse_word,
     path_graph,
+    path_lettering,
     subword,
     verify_lettering,
 )
@@ -168,6 +170,37 @@ def test_decoded_lettering_behaves_like_an_undecoded_one():
         assert dup == fresh
         assert decode(dup) == decode(decoded)
         assert decode(dup) is not decode(decoded)
+
+
+def test_decode_work_follows_the_edges():
+    # In each word one letter x fills m positions where it has no edge to
+    # the k other letters: after them as the first letter of (x, j) pairs,
+    # before them as the second letter of (j, x) pairs. A walk through
+    # every position of x for each pair takes k * m steps (25 million here)
+    # for k edges; decoding must cost about as much as a path word of the
+    # same length.
+    k = m = 5000
+    x = k + 1
+    from_x = Decoder(x, frozenset((x, j) for j in range(1, x)))
+    to_x = Decoder(x, frozenset((j, x) for j in range(1, x)))
+    tail_side = Lettering((x, *range(1, x), *[x] * m), from_x)
+    head_side = Lettering((*[x] * m, *range(1, x), x), to_x)
+    path = path_lettering(k + m + 1)
+
+    def fastest(lt):
+        times = []
+        for _ in range(3):
+            fresh = Lettering(lt.word, lt.decoder)
+            start = time.perf_counter()
+            g = decode(fresh)
+            times.append(time.perf_counter() - start)
+        return min(times), g
+
+    base, _ = fastest(path)
+    for lt in (tail_side, head_side):
+        spent, g = fastest(lt)
+        assert len(g.edges) == k
+        assert spent < 20 * base + 0.05, (spent, base)
 
 
 def test_unused_decoder_letters_do_not_count():
@@ -329,6 +362,17 @@ def test_parse_lettering_multi_digit_letters():
     assert one.word == (12,)
     # the CLI's trailing comma means the same in a file
     assert parse_lettering("k 12\nw 12,\nD").word == (12,)
+
+
+def test_format_lettering_long_words():
+    # The word line is written in slices of 4096 letters; the text must not
+    # show where one slice ends.
+    for n in (4095, 4096, 4097, 8193):
+        word = tuple(i % 13 + 1 for i in range(n))
+        lt = Lettering(word, Decoder(13, frozenset({(2, 1), (13, 12)})))
+        text = format_lettering(lt)
+        assert text == "k 13\nw " + ",".join(str(a) for a in word) + "\nD 2:1,13:12"
+        assert parse_lettering(text) == lt
 
 
 @given(letterings())

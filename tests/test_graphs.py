@@ -168,7 +168,8 @@ def union_of_paths_and_cycles(components, perm) -> Graph:
 
 
 def check_recognizers(g: Graph) -> None:
-    """is_path and is_matching against a union-find reference."""
+    """is_path and is_matching against a union-find reference, on g and on
+    a twin holding the same edges as endpoint lists, as decode builds it."""
     parent = list(range(g.n + 1))
 
     def root(v):
@@ -184,15 +185,19 @@ def check_recognizers(g: Graph) -> None:
     components = len({root(v) for v in range(1, g.n + 1)})
     # A connected graph with n - 1 edges is a tree; with degrees <= 2, a path.
     path = g.n >= 1 and components == 1 and len(g.edges) == g.n - 1 and max(degree) <= 2
-    order = is_path(g)
-    if not path:
-        assert order is None
-    else:
-        assert sorted(order) == list(range(1, g.n + 1))
-        assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
-        ends = [v for v in range(1, g.n + 1) if degree[v] <= 1]
-        assert order[0] == min(ends)
-    assert is_matching(g) == all(degree[v] == 1 for v in range(1, g.n + 1))
+    matching = all(degree[v] == 1 for v in range(1, g.n + 1))
+    edges = sorted(g.edges)
+    twin = Graph._from_endpoints(g.n, [u for u, _ in edges], [v for _, v in edges])
+    for h in (g, twin):
+        order = is_path(h)
+        if not path:
+            assert order is None
+        else:
+            assert sorted(order) == list(range(1, g.n + 1))
+            assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+            ends = [v for v in range(1, g.n + 1) if degree[v] <= 1]
+            assert order[0] == min(ends)
+        assert is_matching(h) == matching
 
 
 @st.composite
@@ -235,6 +240,19 @@ def test_is_matching_beyond_isomorphism_bound():
     # move edge {1, 2} to {1, 3}: same edge count, vertex 2 left bare
     moved = (matching_graph(r).edges - {(1, 2)}) | {(1, 3)}
     assert not is_matching(Graph(2 * r, moved))
+
+
+def test_recognizers_on_near_matchings():
+    # m edges on 2m vertices where one endpoint repeats, leaving a vertex
+    # bare: the edge and vertex counts of a perfect matching, but not one.
+    for r in range(1, 9):
+        matching = [(2 * i - 1, 2 * i) for i in range(1, r + 1)]
+        check_recognizers(Graph(2 * r, frozenset(matching)))
+        for t, (u, bare) in enumerate(matching):
+            for x in range(1, 2 * r + 1):
+                if x not in (u, bare):
+                    moved = matching[:t] + [(u, x)] + matching[t + 1 :]
+                    check_recognizers(Graph(2 * r, frozenset(moved)))
 
 
 def test_is_matching():

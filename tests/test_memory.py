@@ -12,9 +12,11 @@ from lettergraphs import (
     are_isomorphic,
     decode,
     enumerate_letterings,
+    format_lettering,
     is_k_letterable,
     is_path,
     lettericity_exact,
+    matching_canonical_lettering,
     matching_graph,
     path_graph,
     path_lettering,
@@ -96,12 +98,18 @@ def test_graph_keeps_a_normalized_edge_set():
 
 def test_decode_holds_no_tuple_per_edge():
     # A decoded graph keeps flat endpoint lists and builds its edge set of
-    # tuples only when asked: decoding a 16k-vertex path peaks near 1.5 MB,
-    # and near 2.8 MB with a tuple per edge in a frozenset.
+    # tuples only when asked, and decode links positions in two flat lists
+    # instead of a list per letter: decoding a 16k-vertex path peaks near
+    # 1.12 MB, 1.5 MB with a list per letter and 2.8 MB with a tuple per
+    # edge in a frozenset. The 8000-edge canonical matching word, two
+    # positions per letter, peaks near 1.13 MB, and 1.83 MB with a list per
+    # letter.
     # path_lettering has decoded its own lettering, and decode keeps that
     # graph, so each check decodes a fresh lettering of the same word.
     lt = path_lettering(16000)
-    assert peak_bytes(decode, Lettering(lt.word, lt.decoder)) < 2_000_000
+    assert peak_bytes(decode, Lettering(lt.word, lt.decoder)) < 1_200_000
+    matching = matching_canonical_lettering(8000)
+    assert peak_bytes(decode, Lettering(matching.word, matching.decoder)) < 1_300_000
     # The path check reads flat degree and neighbor-XOR lists: about 1.75 MB
     # together with the decode, and 4.3 MB with a neighbor tuple per vertex.
     assert peak_bytes(lambda: is_path(decode(Lettering(lt.word, lt.decoder)))) < 2_500_000
@@ -116,6 +124,15 @@ def test_lettering_keeps_a_normalized_word_and_decoder():
     decoder = Decoder(100_000, pairs)
     assert peak_bytes(Lettering, word, decoder) < 10_000
     assert peak_bytes(Decoder, 100_000, pairs) < 2_000_000
+
+
+def test_format_lettering_holds_no_string_per_letter():
+    # The word line is joined from slices of letters: formatting a
+    # 300,000-vertex path lettering peaks near 3.3 times its 2.9 MB text,
+    # and near 7.0 times with one string per letter.
+    lt = path_lettering(300_000)
+    size = len(format_lettering(lt))
+    assert peak_bytes(format_lettering, lt) < 4 * size
 
 
 def test_path_lettering_memory_grows_linearly():

@@ -28,6 +28,17 @@ from .solver import enumerate_letterings
 AUDIT_MAX_PAIRS = 3
 
 
+def _check_pairs(r: int, subject: str) -> None:
+    """The checks on r shared by the audits on rK_2; subject starts the
+    bound's message."""
+    if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
+        raise ValueError(f"a matching needs at least one pair, got r={r}")
+    if r > AUDIT_MAX_PAIRS:
+        raise CapabilityError(
+            f"{subject} enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
+        )
+
+
 def check_betweenness(lettering: Lettering) -> list[tuple[int, int, int]]:
     """Violations (i, j, k): positions i < k share a letter, j is adjacent
     to exactly one of them, yet j does not lie strictly between them.
@@ -73,12 +84,7 @@ class MatchingAuditReport:
 def audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
     """Enumerate every lettering of rK_2 with alphabet exactly k and
     summarize letter multiplicities and edge pairing."""
-    if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
-        raise ValueError(f"a matching needs at least one pair, got r={r}")
-    if r > AUDIT_MAX_PAIRS:
-        raise CapabilityError(
-            f"matching audits are enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
-        )
+    _check_pairs(r, "matching audits are")
     if k < r:
         raise ValueError(f"an r-edge matching needs at least r letters, got k={k}")
     if k > 2 * r:
@@ -163,12 +169,7 @@ def _is_canonical(word: tuple[int, ...]) -> bool:
 def matching_word_census(r: int) -> WordCensus:
     """Brute-force count of words of length 2r over {1..r} that decode to a
     perfect matching for some decoder. Independent of the solver."""
-    if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
-        raise ValueError(f"a matching needs at least one pair, got r={r}")
-    if r > AUDIT_MAX_PAIRS:
-        raise CapabilityError(
-            f"word census is enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
-        )
+    _check_pairs(r, "word census is")
     matchings = list(_perfect_matchings(tuple(range(1, 2 * r + 1))))
     fixed = 0
     canonical = 0

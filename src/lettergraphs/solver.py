@@ -23,10 +23,12 @@ search passes. The search is exact, so no step is ever undone.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
 choices that runs no completion search, which there cost more than it saved.
-It skips automorphic siblings instead: a vertex is not tried where an
-automorphism fixing the placed vertices maps a smaller unplaced vertex
-onto it, since the smaller one's subtree already held the same words and
-was searched first. The decision keeps out of this rule: the search
+It keeps the letter pairs the prefix realizes as two bitmasks per letter,
+the earlier letters it pairs with and those of them that pair as edges. In
+place of that search it skips automorphic siblings: a vertex is not tried
+where an automorphism fixing the placed vertices maps a smaller unplaced
+vertex onto it, since the smaller one's subtree already held the same
+words and was searched first. The decision keeps out of this rule: the search
 already rejects the dead choices, and computing orbits there made it slower.
 
 The public entry points check the vertex bound; the private cores
@@ -63,19 +65,19 @@ class EnumerationResult:
     truncated: bool
 
 
-def _make_witness(order, letters, used, forced, decoders: dict) -> LetteringWitness:
-    """The witness at a full assignment. Equal decoders are one object:
-    decoders maps (used, pairs) to the Decoder already built, which is
-    safe to share because a Decoder is frozen."""
+def _witness(adj, order, letters, m: int, decoders: dict) -> LetteringWitness:
+    """The witness placing vertex order[i] at position i+1 with letter
+    letters[i], over letters 1..m. Its decoder is every letter pair the word
+    realizes as an edge. Equal decoders are one object: decoders maps
+    (m, pairs) to the Decoder already built, which is safe to share because
+    a Decoder is frozen."""
+    word = list(zip(order, letters))
     pairs = frozenset(
-        (a, b)
-        for a in range(1, used + 1)
-        for b in range(1, used + 1)
-        if forced[a][b] == 1
+        (a, b) for j, (v, b) in enumerate(word) for u, a in word[:j] if adj[u] >> v & 1
     )
-    decoder = decoders.get((used, pairs))
+    decoder = decoders.get((m, pairs))
     if decoder is None:
-        decoder = decoders[used, pairs] = Decoder(used, pairs)
+        decoder = decoders[m, pairs] = Decoder(m, pairs)
     return LetteringWitness(Lettering(tuple(letters), decoder), tuple(order))
 
 
@@ -294,18 +296,20 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
 
     It skips automorphic siblings: a candidate vertex v is not tried when an
     automorphism fixing every placed vertex maps a smaller unplaced vertex
-    u to v. Such an automorphism keeps each letter class and the forced
-    table, so it maps the subtree under u onto the one under v with the same
-    letters: every word below v was already seen below u, earlier in the
-    DFS. The orbits are computed once per placed set, for this search only,
-    and not at all below a placed set whose stabilizer is trivial."""
+    u to v. Such an automorphism keeps each letter class and both letter
+    pair masks, so it maps the subtree under u onto the one under v with the
+    same letters: every word below v was already seen below u, earlier in
+    the DFS. The orbits are computed once per placed set, for this search
+    only, and not at all below a placed set whose stabilizer is trivial."""
     n = g.n
     adj = g.adjacency_masks()
     order = [0] * n
     letters = [0] * n
-    group = [0] * (k + 2)  # letter -> bitmask of vertices carrying it
-    # forced[a][b]: -1 unknown, 0 non-edge, 1 edge, for ordered pair (a, b)
-    forced = [[-1] * (k + 2) for _ in range(k + 2)]
+    group = [0] * (k + 1)  # letter -> bitmask of vertices carrying it
+    # Bit a of known[c]: the prefix realizes the letter pair (a, c), with a
+    # at the earlier position; bit a of edge[c]: it realizes it as an edge.
+    known = [0] * (k + 1)
+    edge = [0] * (k + 1)
     skips_of: dict[int, int] = {}  # placed mask -> _orbit_skips
     by_word: dict[tuple[int, ...], LetteringWitness] = {}
     decoders: dict = {}
@@ -320,7 +324,7 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
                 return True
             if limit is not None and len(by_word) == limit:
                 return False
-            by_word[key] = _make_witness(order, letters, used, forced, decoders)
+            by_word[key] = _witness(adj, order, letters, used, decoders)
             return True
         if k - used > n - depth:
             return True  # not enough positions left to introduce every letter
@@ -332,53 +336,37 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
             skip |= skips
             # A child's stabilizer is a subgroup of this one.
             symmetric = skips != 0
+        earlier = (2 << used) - 2  # letters 1..used
         for v in range(1, n + 1):
             if skip >> v & 1:
                 continue
             av = adj[v]
-            # v's adjacency to each letter class must be all-or-nothing.
-            pattern = []
-            feasible = True
+            # seen: the letter classes v sees in full; it must see each
+            # class all or nothing.
+            seen = 0
             for a in range(1, used + 1):
-                gm = group[a]
-                m = gm & av
-                if m == 0:
-                    pattern.append(0)
-                elif m == gm:
-                    pattern.append(1)
-                else:
-                    feasible = False
+                inside = av & group[a]
+                if inside == group[a]:
+                    seen |= 1 << a
+                elif inside:
                     break
-            if not feasible:
-                continue
-            vbit = 1 << v
-            cmax = used + 1 if used < k else k
-            for c in range(1, cmax + 1):
-                changed = []
-                conflict = False
-                for a in range(1, used + 1):
-                    fa = forced[a]
-                    bit = pattern[a - 1]
-                    st = fa[c]
-                    if st < 0:
-                        fa[c] = bit
-                        changed.append(fa)
-                    elif st != bit:
-                        conflict = True
-                        break
-                if conflict:
-                    for fa in changed:
-                        fa[c] = -1
-                    continue
-                order[depth] = v
-                letters[depth] = c
-                group[c] |= vbit
-                keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
-                group[c] &= ~vbit
-                for fa in changed:
-                    fa[c] = -1
-                if not keep_going:
-                    return False
+            else:
+                vbit = 1 << v
+                for c in range(1, min(used + 1, k) + 1):
+                    if (edge[c] ^ seen) & known[c]:
+                        continue  # a pair (a, c) realized the other way before
+                    # Exact, not a merge: known[c] only holds letters up to
+                    # used, and those bits of seen were just checked to agree.
+                    saved = known[c], edge[c]
+                    known[c], edge[c] = earlier, seen
+                    order[depth] = v
+                    letters[depth] = c
+                    group[c] |= vbit
+                    keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
+                    group[c] &= ~vbit
+                    known[c], edge[c] = saved
+                    if not keep_going:
+                        return False
         return True
 
     try:
@@ -418,11 +406,7 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
             raise RuntimeError(
                 f"internal error: the completion search passed a dead prefix at k={k}"
             )
-    order, letters = state.order, state.letters
-    # The decoder: every letter pair the word realizes as an edge.
-    word = list(zip(order, letters))
-    pairs = {(a, b) for j, (v, b) in enumerate(word) for u, a in word[:j] if adj[u] >> v & 1}
-    return LetteringWitness(Lettering(tuple(letters), Decoder(state.m, pairs)), tuple(order))
+    return _witness(adj, state.order, state.letters, state.m, {})
 
 
 def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:

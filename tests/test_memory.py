@@ -90,8 +90,8 @@ def test_enumeration_shares_equal_decoders():
 
 
 def test_graph_keeps_a_normalized_edge_set():
-    # decode hands Graph a frozenset of (u, v) tuples with u < v; building
-    # the graph must not copy it.
+    # parse_edge_list, induced_subgraph and user code hand Graph a frozenset
+    # of (u, v) tuples with u < v; building the graph must not copy it.
     edges = frozenset((i, i + 1) for i in range(1, 100_000))
     assert peak_bytes(Graph, 100_000, edges) < 100_000
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lettergraphs import (
     CapabilityError,
+    Decoder,
     EnumerationResult,
     Graph,
     decode,
@@ -248,20 +249,23 @@ def _first(g, k):
     return None if w is None else (w.vertex_of_position, w.lettering.word, w.lettering.decoder.pairs)
 
 
-def _reference_first(g, k):
-    # The reference's first lettering with its decoder: every letter pair
-    # the word realizes as an edge.
-    first = first_lettering(g, k)
-    if first is None:
-        return None
-    order, letters = first
-    pairs = frozenset(
+def _reference_pairs(g, order, letters):
+    # A reference lettering's decoder: every letter pair the word realizes
+    # as an edge.
+    return frozenset(
         (letters[i], letters[j])
         for j in range(g.n)
         for i in range(j)
         if g.has_edge(order[i], order[j])
     )
-    return order, letters, pairs
+
+
+def _reference_first(g, k):
+    first = first_lettering(g, k)
+    if first is None:
+        return None
+    order, letters = first
+    return order, letters, _reference_pairs(g, order, letters)
 
 
 def test_walk_finds_the_first_lettering():
@@ -298,6 +302,26 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
     assert is_k_letterable(path_graph(7), 2) is None
     assert is_k_letterable(matching_graph(4), 3) is None
     assert len(calls) == 2
+
+
+def test_enumeration_matches_the_reference_dfs():
+    # Against the plain DFS reference: the words of its full prefixes that
+    # use all k letters, each with the vertex order the reference reaches
+    # first and the decoder of the pairs that order realizes as edges.
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            for k in range(1, n + 1):
+                first = {}
+                for order, letters in dfs_prefixes(g, k):
+                    if len(order) == n and max(letters) == k:
+                        first.setdefault(letters, order)
+                result = enumerate_letterings(g, k)
+                assert [w.lettering.word for w in result.witnesses] == sorted(first), (g, k)
+                for w in result.witnesses:
+                    order = first[w.lettering.word]
+                    assert w.vertex_of_position == order, (g, k, w)
+                    expected = Decoder(k, _reference_pairs(g, order, w.lettering.word))
+                    assert w.lettering.decoder == expected, (g, k, w)
 
 
 def _relabel(g, rng):
@@ -347,15 +371,15 @@ def test_orbit_pruning_keeps_every_enumeration(monkeypatch):
     # The unpruned search reports every stabilizer trivial. A limit keeps
     # the first distinct words it finds, so the witnesses it builds, in
     # order, give its result under every limit.
-    make_witness = solver._make_witness
+    witness = solver._witness
     found = []
 
     def record(*args):
-        found.append(make_witness(*args))
+        found.append(witness(*args))
         return found[-1]
 
     monkeypatch.setattr(solver, "_orbit_skips", lambda adj, n, placed: 0)
-    monkeypatch.setattr(solver, "_make_witness", record)
+    monkeypatch.setattr(solver, "_witness", record)
     for (h, k), results in zip(cases, pruned):
         found.clear()
         assert results[0] == enumerate_letterings(h, k), (h, k)

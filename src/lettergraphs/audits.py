@@ -16,12 +16,11 @@ conventions, fixed {1..r} and first-occurrence canonical.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 
 from .core import Lettering, decode
 from .errors import CapabilityError
-from .graphs import matching_graph
+from .graphs import Record, matching_graph
 from .solver import enumerate_letterings
 
 # Census and audit enumerate everything; kept small by contract.
@@ -65,15 +64,26 @@ def check_betweenness(lettering: Lettering) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class MatchingAuditReport:
+class MatchingAuditReport(Record):
     """Summary over all letterings of rK_2 with alphabet exactly k."""
 
+    __slots__ = _fields = (
+        "r", "k", "witness_count", "max_letter_occurrences", "edge_paired_fraction"
+    )
     r: int
     k: int
     witness_count: int
     max_letter_occurrences: int
     edge_paired_fraction: float
+
+    def __init__(self, r: int, k: int, witness_count: int, max_letter_occurrences: int,
+                 edge_paired_fraction: float):
+        init = object.__setattr__
+        init(self, "r", r)
+        init(self, "k", k)
+        init(self, "witness_count", witness_count)
+        init(self, "max_letter_occurrences", max_letter_occurrences)
+        init(self, "edge_paired_fraction", edge_paired_fraction)
 
     def ok(self) -> bool:
         if self.max_letter_occurrences > 2:
@@ -111,14 +121,20 @@ def _audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
     return MatchingAuditReport(r, k, count, max_occ, fraction)
 
 
-@dataclass(frozen=True)
-class WordCensus:
+class WordCensus(Record):
     """Words of length 2r admitting a lettering of rK_2, counted under both
     alphabet conventions."""
 
+    __slots__ = _fields = ("r", "fixed_alphabet_count", "canonical_count")
     r: int
     fixed_alphabet_count: int  # words over the fixed alphabet {1..r}
     canonical_count: int  # first-occurrence canonical words only
+
+    def __init__(self, r: int, fixed_alphabet_count: int, canonical_count: int):
+        init = object.__setattr__
+        init(self, "r", r)
+        init(self, "fixed_alphabet_count", fixed_alphabet_count)
+        init(self, "canonical_count", canonical_count)
 
 
 def _perfect_matchings(vertices: tuple[int, ...]):

@@ -18,6 +18,11 @@ from .errors import CapabilityError
 from .graphs import Graph, matching_graph, parse_edge_list, path_graph, serialize_edge_list, to_dot
 from .solver import VERTEX_LIMIT, _check_size, lettericity_exact
 
+# Largest `path N` served: the largest size measured, where `path 1000000
+# --verify` peaks at about 195 MB max RSS. Memory grows linearly in N, so a
+# larger request is refused before any word is built.
+PATH_VERTEX_LIMIT = 1_000_000
+
 
 class _UsageError(Exception):
     pass
@@ -41,6 +46,10 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_path(args) -> int:
+    if args.n > PATH_VERTEX_LIMIT:
+        raise CapabilityError(
+            f"path letterings are bounded at {PATH_VERTEX_LIMIT} vertices, got {args.n}"
+        )
     # path_lettering re-decodes its word and path-checks it before returning,
     # so a returned lettering is already certified to decode to P_n.
     lettering = path_lettering(args.n)

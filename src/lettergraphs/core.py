@@ -21,27 +21,25 @@ so building a lettering copies neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, are_isomorphic, is_matching, is_path
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, are_isomorphic, is_matching, is_path
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Decoder:
+class Decoder(Record):
     """Ordered letter pairs over {1..alphabet_size}."""
 
+    __slots__ = _fields = ("alphabet_size", "pairs")
     alphabet_size: int
-    pairs: frozenset[tuple[int, int]] = frozenset()
+    pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        k = self.alphabet_size
+    def __init__(self, alphabet_size: int, pairs: frozenset[tuple[int, int]] = frozenset()):
+        k = alphabet_size
         if k < 0:
             raise InvalidLetteringError(f"alphabet size must be >= 0, got {k}")
-        pairs = self.pairs
         # A frozenset of (int, int) tuples is kept as given; anything else is
         # normalized into one. The checks run in C, over the pairs and over
         # one flat list of their letters.
@@ -50,7 +48,6 @@ class Decoder:
             letters = [*chain.from_iterable(pairs)]
         if letters is None or not {*map(type, letters)} <= {int}:
             pairs = frozenset((int(a), int(b)) for a, b in pairs)
-            object.__setattr__(self, "pairs", pairs)
             letters = [*chain.from_iterable(pairs)]
         if letters and (min(letters) < 1 or max(letters) > k):
             for a, b in pairs:
@@ -58,25 +55,26 @@ class Decoder:
                     raise InvalidLetteringError(
                         f"decoder pair ({a},{b}) outside alphabet 1..{k}"
                     )
+        init = object.__setattr__
+        init(self, "alphabet_size", k)
+        init(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class Lettering:
+class Lettering(Record):
     """A word together with a decoder whose alphabet covers it.
 
     Equal, hashed, printed, copied and pickled by its word and decoder
-    alone. decode keeps the lettering's graph on it after the first call;
-    that graph is not a field.
+    alone. decode keeps the lettering's graph in the _graph slot after the
+    first call; that graph is not a field.
     """
 
+    __slots__ = ("word", "decoder", "_graph")
+    _fields = ("word", "decoder")
     word: Word
     decoder: Decoder
 
-    # The decoded graph, set by decode on first use.
-    _graph = None
-
-    def __post_init__(self):
-        w = self.word
+    def __init__(self, word: Word, decoder: Decoder):
+        w = word
         # A tuple of ints is kept as given; anything else is normalized.
         if type(w) is not tuple or not {*map(type, w)} <= {int}:
             # From a list, not a generator: tuple() resizes a tuple built
@@ -84,8 +82,7 @@ class Lettering:
             # length but joins that length's free list when freed, which
             # then fills up.
             w = tuple([int(a) for a in w])
-            object.__setattr__(self, "word", w)
-        k = self.decoder.alphabet_size
+        k = decoder.alphabet_size
         if w and (min(w) < 1 or max(w) > k):
             for i, a in enumerate(w, start=1):
                 if a < 1:
@@ -94,10 +91,10 @@ class Lettering:
                     raise InvalidLetteringError(
                         f"letter {a} at position {i} exceeds decoder alphabet 1..{k}"
                     )
-
-    def __getstate__(self):
-        # copy and pickle carry the fields only, never the decoded graph.
-        return {"word": self.word, "decoder": self.decoder}
+        init = object.__setattr__
+        init(self, "word", w)
+        init(self, "decoder", decoder)
+        init(self, "_graph", None)  # the decoded graph, set by decode on first use
 
     @property
     def alphabet_size(self) -> int:

@@ -15,12 +15,15 @@ decoded path or matching stays linear in its size and allocates no tuple
 per edge or vertex. The edge set itself, a frozenset of (u, v) tuples, is
 built only when a caller reads Graph.edges, compares or hashes the graph,
 or asks has_edge.
+
+Record, the immutable base of Graph and of the package's value classes
+(decoders, letterings, witnesses, reports), lives here as the lowest
+module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import FrozenInstanceError
 from itertools import chain
 
 from .errors import CapabilityError, ParseError
@@ -30,7 +33,46 @@ from .errors import CapabilityError, ParseError
 ISOMORPHISM_VERTEX_LIMIT = 12
 
 
-class Graph:
+class Record:
+    """Immutable slotted record over the attributes named in _fields.
+
+    Equal (to an instance of the same class only) and hashed by those
+    values, printed as ClassName(field=value, ...), and copied and pickled
+    by calling the constructor with them, so a slot outside _fields (a
+    cache) is never compared, printed or carried. Subclasses set their
+    slots once in __init__ through object.__setattr__; assigning or
+    deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(Record):
     """Loopless undirected graph; edges stored as (u, v) pairs with u < v.
 
     Immutable, and equal and hashed by (n, edges). A graph is held as its
@@ -39,6 +81,7 @@ class Graph:
     """
 
     __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degree_xor")
+    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
         if n < 0:
@@ -80,16 +123,6 @@ class Graph:
         init(self, "_adjacency", None)
         init(self, "_degree_xor", None)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the graph through the constructor.
-        return Graph, (self.n, self.edges)
-
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         edges = self._edges
@@ -97,14 +130,6 @@ class Graph:
             edges = frozenset(zip(*self._ends))
             object.__setattr__(self, "_edges", edges)
         return edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     def __repr__(self):
         # Edges in sorted order, so equal graphs print alike.

@@ -38,11 +38,9 @@ past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Decoder, Lettering
 from .errors import CapabilityError
-from .graphs import Graph, extend_isomorphism
+from .graphs import Graph, Record, extend_isomorphism
 
 # Exhaustive search stays interactive up to this many vertices; full
 # enumeration of witnesses is bounded tighter.
@@ -50,19 +48,29 @@ VERTEX_LIMIT = 12
 ENUMERATION_VERTEX_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class LetteringWitness:
+class LetteringWitness(Record):
     """A lettering plus the position -> vertex bijection exhibiting the
     target: vertex_of_position[p-1] is the vertex placed at position p."""
 
+    __slots__ = _fields = ("lettering", "vertex_of_position")
     lettering: Lettering
     vertex_of_position: tuple[int, ...]
 
+    def __init__(self, lettering: Lettering, vertex_of_position: tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "lettering", lettering)
+        init(self, "vertex_of_position", vertex_of_position)
 
-@dataclass(frozen=True)
-class EnumerationResult:
+
+class EnumerationResult(Record):
+    __slots__ = _fields = ("witnesses", "truncated")
     witnesses: tuple[LetteringWitness, ...]
     truncated: bool
+
+    def __init__(self, witnesses: tuple[LetteringWitness, ...], truncated: bool):
+        init = object.__setattr__
+        init(self, "witnesses", witnesses)
+        init(self, "truncated", truncated)
 
 
 def _witness(adj, order, letters, m: int, decoders: dict) -> LetteringWitness:

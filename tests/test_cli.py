@@ -2,10 +2,14 @@
 
 import contextlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lettergraphs
 from lettergraphs.cli import main
 
 
@@ -230,3 +234,14 @@ def test_cli_fuzz_exits_with_a_contract_code(tmp_path_factory, data):
     assert rc in (0, 1, 2), argv
     if r is not None and r <= 0:
         assert rc == 1, argv
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for the CLI's import; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize. -S keeps site's own imports out.
+    src = str(Path(lettergraphs.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lettergraphs.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

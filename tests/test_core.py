@@ -1,7 +1,6 @@
 """Decode rule, word operations, decoder algebra, and the text formats."""
 
 import copy
-import dataclasses
 import pickle
 import time
 
@@ -11,10 +10,14 @@ from hypothesis import strategies as st
 
 from lettergraphs import (
     Decoder,
+    EnumerationResult,
     Graph,
     InvalidLetteringError,
     Lettering,
+    LetteringWitness,
+    MatchingAuditReport,
     ParseError,
+    WordCensus,
     complement_decoder,
     decode,
     format_lettering,
@@ -150,8 +153,8 @@ def test_decode_returns_one_graph_per_lettering():
     # An equal lettering decodes its own word.
     other = Lettering(lt.word, lt.decoder)
     assert decode(other) == g and decode(other) is not g
-    # replace builds a new lettering, which decodes its new word.
-    swapped = dataclasses.replace(lt, word=(1, 2, 1, 3, 2, 1, 3))
+    # A lettering built with a new word decodes its new word.
+    swapped = Lettering((1, 2, 1, 3, 2, 1, 3), lt.decoder)
     assert decode(swapped) is not g
     assert decode(swapped) == decode(Lettering((1, 2, 1, 3, 2, 1, 3), lt.decoder))
 
@@ -164,12 +167,63 @@ def test_decoded_lettering_behaves_like_an_undecoded_one():
     assert repr(decoded) == repr(fresh)
     assert pickle.dumps(decoded) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(decoded)) == fresh
-    assert dataclasses.astuple(decoded) == dataclasses.astuple(fresh)
-    assert [f.name for f in dataclasses.fields(decoded)] == ["word", "decoder"]
+    assert decoded.__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (Lettering, (fresh.word, fresh.decoder))
     for dup in (copy.copy(decoded), copy.deepcopy(decoded), pickle.loads(pickle.dumps(decoded))):
         assert dup == fresh
         assert decode(dup) == decode(decoded)
         assert decode(dup) is not decode(decoded)
+
+
+_DECODER_TEXT = "Decoder(alphabet_size=3, pairs=frozenset({(2, 1)}))"
+_LETTERING_TEXT = f"Lettering(word=(2, 1, 3), decoder={_DECODER_TEXT})"
+_WITNESS_TEXT = f"LetteringWitness(lettering={_LETTERING_TEXT}, vertex_of_position=(1, 2, 3))"
+
+
+def _witness():
+    return LetteringWitness(Lettering((2, 1, 3), Decoder(3, frozenset({(2, 1)}))), (1, 2, 3))
+
+
+# Each immutable record: a builder of fresh equal instances, its fields, and
+# the dataclass-style repr its instance prints.
+RECORDS = {
+    "Decoder": (lambda: Decoder(3, frozenset({(2, 1)})), ("alphabet_size", "pairs"), _DECODER_TEXT),
+    "Decoder-empty": (lambda: Decoder(2), ("alphabet_size", "pairs"),
+                      "Decoder(alphabet_size=2, pairs=frozenset())"),
+    "Lettering": (lambda: Lettering((2, 1, 3), Decoder(3, frozenset({(2, 1)}))),
+                  ("word", "decoder"), _LETTERING_TEXT),
+    "LetteringWitness": (_witness, ("lettering", "vertex_of_position"), _WITNESS_TEXT),
+    "EnumerationResult": (lambda: EnumerationResult((_witness(),), False), ("witnesses", "truncated"),
+                          f"EnumerationResult(witnesses=({_WITNESS_TEXT},), truncated=False)"),
+    "MatchingAuditReport": (
+        lambda: MatchingAuditReport(2, 2, 5, 2, 0.5),
+        ("r", "k", "witness_count", "max_letter_occurrences", "edge_paired_fraction"),
+        "MatchingAuditReport(r=2, k=2, witness_count=5, max_letter_occurrences=2, "
+        "edge_paired_fraction=0.5)",
+    ),
+    "WordCensus": (lambda: WordCensus(2, 6, 3), ("r", "fixed_alphabet_count", "canonical_count"),
+                   "WordCensus(r=2, fixed_alphabet_count=6, canonical_count=3)"),
+    "Graph": (lambda: Graph(3, [(2, 1), (3, 2)]), ("n", "edges"),
+              "Graph(n=3, edges=frozenset({(1, 2), (2, 3)}))"),
+    "Graph-decoded": (lambda: decode(Lettering((2, 1, 3), Decoder(3, frozenset({(2, 1)})))),
+                      ("n", "edges"), "Graph(n=3, edges=frozenset({(1, 2)}))"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_values(name):
+    build, fields, text = RECORDS[name]
+    x, y = build(), build()
+    for field in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert x is not y and x == y and hash(x) == hash(y)
+    # Equal to an instance of its own class only, not to its values.
+    assert x != tuple(getattr(x, f) for f in fields)
+    for dup in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(dup) is type(x) and dup == x and hash(dup) == hash(x)
+    assert repr(x) == text
 
 
 def test_decode_work_follows_the_edges():

@@ -150,3 +150,16 @@ def test_over_bound_cli_target_is_not_built(capsys):
         assert peak_bytes(lambda: codes.append(main(argv))) < 2_000_000
         assert codes == [2]
         assert "bounded at 12 vertices, got 1000000" in capsys.readouterr().err
+
+
+def test_over_bound_path_request_is_not_built(capsys):
+    # path 1000000 --verify peaks near 195 MB max RSS and grows linearly,
+    # so path 100000000 would try to build about 20 GB; the bound is
+    # checked on N before any word exists.
+    for argv in (["path", "1000001"], ["path", "100000000", "--verify"]):
+        codes = []
+        assert peak_bytes(lambda: codes.append(main(argv))) < 2_000_000
+        assert codes == [2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bounded at 1000000 vertices, got {argv[1]}" in captured.err

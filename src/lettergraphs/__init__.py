@@ -40,6 +40,8 @@ from .graphs import (
     Graph,
     are_isomorphic,
     induced_subgraph,
+    is_cycle,
+    is_linear_forest,
     is_matching,
     is_path,
     matching_graph,
@@ -85,7 +87,9 @@ __all__ = [
     "enumerate_letterings",
     "format_lettering",
     "induced_subgraph",
+    "is_cycle",
     "is_k_letterable",
+    "is_linear_forest",
     "is_matching",
     "is_path",
     "letter_occurrences",

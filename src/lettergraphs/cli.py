@@ -19,8 +19,9 @@ from .graphs import Graph, matching_graph, parse_edge_list, path_graph, serializ
 from .solver import VERTEX_LIMIT, _check_size, lettericity_exact
 
 # Largest `path N` served: the largest size measured, where `path 1000000
-# --verify` peaks at about 195 MB max RSS. Memory grows linearly in N, so a
-# larger request is refused before any word is built.
+# --verify` peaks at about 162 MB max RSS (187 MB when the certificate kept
+# a vertex order). Memory grows linearly in N, so a larger request is
+# refused before any word is built.
 PATH_VERTEX_LIMIT = 1_000_000
 
 
@@ -50,8 +51,9 @@ def _cmd_path(args) -> int:
         raise CapabilityError(
             f"path letterings are bounded at {PATH_VERTEX_LIMIT} vertices, got {args.n}"
         )
-    # path_lettering re-decodes its word and path-checks it before returning,
-    # so a returned lettering is already certified to decode to P_n.
+    # path_lettering re-decodes its word and checks that it is one path on n
+    # vertices before returning, so a returned lettering is already
+    # certified to decode to P_n.
     lettering = path_lettering(args.n)
     print(format_lettering(lettering))
     if args.verify:

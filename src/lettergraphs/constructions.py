@@ -3,8 +3,9 @@
 Paths admit letterings with floor((n+4)/3) letters and no fewer; the word
 built here realizes that alphabet size for every n >= 3 and is re-decoded
 and path-checked before being returned, so a successful call is its own
-certificate. The decoded graph stays on the returned lettering, so a later
-decode or verify_lettering of it does not decode the word again.
+certificate. The decoded graph stays on the returned lettering together
+with its shape (one path on n vertices), so a later decode or
+verify_lettering of it neither decodes the word nor walks the graph again.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .core import Decoder, Lettering, decode
-from .graphs import is_path
+from .graphs import _path_shape
 
 
 def path_lettericity(n: int) -> int:
@@ -35,6 +36,10 @@ def path_lettering(n: int) -> Lettering:
     with decoder {(j+1, j) : 1 <= j <= r}. For n = 3r the first occurrence
     of letter 1 is dropped; for n = 3r-1 the last occurrence of letter r+1
     is dropped as well.
+
+    The certificate decodes the word once and checks that the graph's shape
+    is one path on n vertices. It keeps that shape on the decoded graph and
+    no vertex order.
     """
     if n < 3:
         raise ValueError(
@@ -56,7 +61,7 @@ def path_lettering(n: int) -> Lettering:
     decoder = Decoder(r + 1, frozenset(zip(letters[2:], letters[1:])))
     lettering = Lettering(tuple(word), decoder)
     g = decode(lettering)
-    if g.n != n or is_path(g) is None:
+    if g.n != n or g._shape() != _path_shape(n):
         raise RuntimeError(f"internal error: constructed word for n={n} is not a path")
     return lettering
 

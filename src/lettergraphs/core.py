@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, are_isomorphic, is_matching, is_path
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, are_isomorphic
 
 Word = tuple[int, ...]
 
@@ -201,8 +201,14 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
 
     With a mapping (sequence: position p -> vertex mapping[p-1]) the decoded
     graph must equal the target exactly under it. Without one, the decoded
-    graph must be isomorphic to the target; beyond the small-graph
-    isomorphism bound the target must be a path or a perfect matching.
+    graph must be isomorphic to the target. Beyond the small-graph
+    isomorphism bound the target must have maximum degree 2 (a path, cycle,
+    perfect matching or any disjoint union of paths and cycles), and the
+    test compares the component lengths of the two graphs, which decides
+    isomorphism there. Each graph computes them once and keeps them, and
+    path_graph and matching_graph record theirs when they build the graph,
+    so verifying a lettering from path_lettering against path_graph(n)
+    walks neither graph again.
     """
     n = len(lettering.word)
     if n != target.n:
@@ -221,15 +227,14 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
         return relabelled == target.edges
     if n <= ISOMORPHISM_VERTEX_LIMIT:
         return are_isomorphic(decoded, target)
-    if is_path(target) is not None:
-        return is_path(decoded) is not None
-    if is_matching(target):
-        return is_matching(decoded)
-    raise CapabilityError(
-        f"verification without a mapping is bounded at "
-        f"{ISOMORPHISM_VERTEX_LIMIT} vertices unless the target is a path "
-        f"or a perfect matching"
-    )
+    shape = target._shape()
+    if shape is None:
+        raise CapabilityError(
+            f"verification without a mapping is bounded at "
+            f"{ISOMORPHISM_VERTEX_LIMIT} vertices unless the target has "
+            f"maximum degree 2"
+        )
+    return decoded._shape() == shape
 
 
 # --- text format -----------------------------------------------------------

@@ -1,20 +1,28 @@
 """Undirected graphs on vertices 1..n.
 
 Builders for the two structured families used throughout (paths and
-perfect matchings), linear-time recognizers for both, induced subgraphs,
-a small-graph isomorphism test, and edge-list / DOT serialization.
+perfect matchings), linear-time recognizers for graphs of maximum degree 2
+(paths, cycles, linear forests, perfect matchings), induced subgraphs, a
+small-graph isomorphism test, and edge-list / DOT serialization.
 
-A Graph keeps one adjacency representation per regime. Small exact search
-(the solver, are_isomorphic, the audits) reads n-bit neighbor masks from
-adjacency_masks(), built on first use; their size is quadratic in n, which
-is harmless below the search bounds. Long words keep their edges as two
-flat endpoint lists, filled by decode and the path and matching builders.
-is_path and degree read per-vertex degree and neighbor-XOR lists derived
-from them, and is_matching one set of the endpoints, so recognizing a
-decoded path or matching stays linear in its size and allocates no tuple
-per edge or vertex. The edge set itself, a frozenset of (u, v) tuples, is
-built only when a caller reads Graph.edges, compares or hashes the graph,
-or asks has_edge.
+A Graph keeps one adjacency representation per regime, each built on first
+use and cached on the graph:
+
+- small exact search (the solver, are_isomorphic, the audits) reads n-bit
+  neighbor masks from adjacency_masks(); their size is quadratic in n,
+  which is harmless below the search bounds;
+- long words keep their edges as two flat endpoint lists, filled by decode
+  and the path and matching builders. One shape pass reads degree and
+  neighbor-XOR lists derived from them and keeps only the component
+  lengths of a graph of maximum degree 2, split into paths and cycles, so
+  recognizing and certifying a decoded path stays linear in its size and
+  keeps nothing per edge or vertex. path_graph and matching_graph record
+  their shape when they build the graph. degree() keeps the degree list,
+  and is_matching reads one set of the endpoints, which also decides the
+  shape of a perfect matching without a walk;
+- the edge set itself, a frozenset of (u, v) tuples, is built only when a
+  caller reads Graph.edges, compares or hashes the graph, or asks
+  has_edge. The edge-list and DOT writers sort integer keys instead.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -23,14 +31,19 @@ module.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, floordiv, mod, mul
 
 from .errors import CapabilityError, ParseError
 
 # Backtracking isomorphism is only offered at desk scale; larger targets
-# must be certified structurally (is_path / is_matching).
+# must be certified structurally, by the shape of a graph of maximum degree 2.
 ISOMORPHISM_VERTEX_LIMIT = 12
+
+# Graph._shape's value before the pass has run; None is a result.
+_UNSET = object()
 
 
 class Record:
@@ -80,7 +93,7 @@ class Graph(Record):
     for long words), whose edge set is built on first use.
     """
 
-    __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degree_xor")
+    __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degrees", "_components")
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
@@ -102,26 +115,28 @@ class Graph(Record):
             keep = keep and type(e) is tuple
         if not keep:
             edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        self._init(n, edges, None)
+        self._init(n, edges, None, _UNSET)
 
     @classmethod
-    def _from_endpoints(cls, n: int, tails: list[int], heads: list[int]) -> Graph:
+    def _from_endpoints(cls, n: int, tails: list[int], heads: list[int], shape=_UNSET) -> Graph:
         """Graph whose edges are (tails[i], heads[i]), kept as these lists.
 
         Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n and
-        no repeated pair, and hands the lists over.
+        no repeated pair, and hands the lists over, with the value _shape()
+        would compute if the caller knows it.
         """
         g = object.__new__(cls)
-        g._init(n, None, (tails, heads))
+        g._init(n, None, (tails, heads), shape)
         return g
 
-    def _init(self, n, edges, ends) -> None:
+    def _init(self, n, edges, ends, shape) -> None:
         init = object.__setattr__
         init(self, "n", n)
         init(self, "_edges", edges)
         init(self, "_ends", ends)
         init(self, "_adjacency", None)
-        init(self, "_degree_xor", None)
+        init(self, "_degrees", None)
+        init(self, "_components", shape)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -146,19 +161,32 @@ class Graph(Record):
     def _degrees_and_xors(self) -> tuple[list[int], list[int]]:
         # Indexed by vertex: the degree, and the XOR of the neighbors. A
         # vertex of degree at most 2 entered from neighbor p leaves to
-        # xor[v] ^ p, which is 0 when v has no other neighbor.
-        dx = self._degree_xor
-        if dx is None:
-            deg = [0] * (self.n + 1)
-            xor = [0] * (self.n + 1)
-            for u, v in self._pairs():
-                deg[u] += 1
-                deg[v] += 1
-                xor[u] ^= v
-                xor[v] ^= u
-            dx = deg, xor
-            object.__setattr__(self, "_degree_xor", dx)
-        return dx
+        # xor[v] ^ p, which is 0 when v has no other neighbor. Not kept:
+        # the XORs are a fresh int per vertex.
+        deg = [0] * (self.n + 1)
+        xor = [0] * (self.n + 1)
+        for u, v in self._pairs():
+            deg[u] += 1
+            deg[v] += 1
+            xor[u] ^= v
+            xor[v] ^= u
+        return deg, xor
+
+    def _shape(self) -> tuple | None:
+        """The components of a graph of maximum degree 2, or None if some
+        vertex has degree 3 or more.
+
+        The shape is (paths, cycles), each a tuple of (vertex count, number
+        of components) pairs in increasing vertex count; an isolated vertex
+        is a path on 1 vertex. Two graphs of maximum degree 2 are isomorphic
+        exactly when their shapes are equal. Computed once by _walk_shape
+        and kept; path_graph and matching_graph record theirs instead.
+        """
+        shape = self._components
+        if shape is _UNSET:
+            shape = _walk_shape(self)
+            object.__setattr__(self, "_components", shape)
+        return shape
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks indexed by vertex: bit v of masks[u] marks edge u-v."""
@@ -173,24 +201,83 @@ class Graph(Record):
         return masks
 
     def degree(self, v: int) -> int:
-        return self._degrees_and_xors()[0][v]
+        deg = self._degrees
+        if deg is None:
+            deg = self._degrees_and_xors()[0]
+            object.__setattr__(self, "_degrees", deg)
+        return deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
+
+
+def _path_shape(n: int):
+    """Graph._shape() of P_n."""
+    return ((n, 1),), ()
+
+
+def _walk_shape(g: Graph) -> tuple | None:
+    """Graph._shape() computed: walk each path from an end, then each cycle
+    from one of its edges, marking the visited vertices in a bytearray and
+    keeping only the component sizes. A perfect matching, the paper's other
+    family, is decided first by is_matching's one set test, which beats a
+    walk per two-vertex component."""
+    if is_matching(g):
+        m = g._size()
+        return (((2, m),), ()) if m else ((), ())
+    deg, xor = g._degrees_and_xors()
+    if max(deg) > 2:
+        return None
+    n = g.n
+    seen = bytearray(n + 1)
+    paths = [1] * (deg.count(0) - 1)  # isolated vertices; deg[0] is none
+    end = 0
+    for _ in range(deg.count(1) // 2):
+        # The next end not yet walked; the walk from an end reaches the
+        # other end of its path, which comes later.
+        end = deg.index(1, end + 1)
+        while seen[end]:
+            end = deg.index(1, end + 1)
+        prev, cur, size = 0, end, 0
+        while cur:
+            seen[cur] = 1
+            prev, cur = cur, xor[cur] ^ prev
+            size += 1
+        paths.append(size)
+    cycles = []
+    left = n - sum(paths)
+    if left:
+        # Every vertex left has degree 2 and lies on a cycle.
+        for first, cur in g._pairs():
+            if seen[first]:
+                continue
+            seen[first] = 1
+            prev, size = first, 1
+            while cur != first:
+                seen[cur] = 1
+                prev, cur = cur, xor[cur] ^ prev
+                size += 1
+            cycles.append(size)
+            left -= size
+            if not left:
+                break
+    return tuple(sorted(Counter(paths).items())), tuple(sorted(Counter(cycles).items()))
 
 
 def path_graph(n: int) -> Graph:
     """P_n: vertices 1..n in path order, edges {i, i+1}."""
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
-    return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)))
+    return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)), _path_shape(n))
 
 
 def matching_graph(r: int) -> Graph:
     """rK_2: r disjoint edges {2i-1, 2i} on vertices 1..2r."""
     if r < 1:
         raise ValueError(f"matching needs at least one edge, got r={r}")
-    return Graph._from_endpoints(2 * r, list(range(1, 2 * r, 2)), list(range(2, 2 * r + 1, 2)))
+    return Graph._from_endpoints(
+        2 * r, list(range(1, 2 * r, 2)), list(range(2, 2 * r + 1, 2)), (((2, r),), ())
+    )
 
 
 def is_path(g: Graph) -> tuple[int, ...] | None:
@@ -199,27 +286,29 @@ def is_path(g: Graph) -> tuple[int, ...] | None:
     Deterministic: the walk starts at the smaller-labelled endpoint, so a
     path graph always yields the same ordering (of the two possible).
     """
-    if g.n == 0:
+    n = g.n
+    if g._shape() != _path_shape(n):
         return None
-    if g.n == 1:
+    if n == 1:
         return (1,)
-    if g._size() != g.n - 1:
-        return None
     deg, xor = g._degrees_and_xors()
-    if max(deg) > 2 or 1 not in deg:  # a branch, or no end at all
-        return None
-    # Every degree is at most 2, so the walk from an end cannot revisit a
-    # vertex; it covers all n vertices unless it reaches the other end
-    # early (next vertex 0), which leaves the remaining edges on disjoint
-    # cycles.
     prev, cur = 0, deg.index(1)
     order = [cur]
-    for _ in range(g.n - 1):
+    for _ in range(n - 1):
         prev, cur = cur, xor[cur] ^ prev
-        if cur == 0:
-            return None
         order.append(cur)
     return tuple(order)
+
+
+def is_cycle(g: Graph) -> bool:
+    """True iff g is one cycle through all of its vertices (n >= 3)."""
+    return g._shape() == ((), ((g.n, 1),))
+
+
+def is_linear_forest(g: Graph) -> bool:
+    """True iff g is a disjoint union of paths (isolated vertices included)."""
+    shape = g._shape()
+    return shape is not None and not shape[1]
 
 
 def is_matching(g: Graph) -> bool:
@@ -257,7 +346,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             raise CapabilityError(
                 f"isomorphism testing is bounded at {ISOMORPHISM_VERTEX_LIMIT} "
                 f"vertices (got {x.n}); certify structured targets with "
-                f"is_path or is_matching instead"
+                f"is_path, is_cycle, is_matching or is_linear_forest instead"
             )
     if g.n != h.n or g._size() != h._size():
         return False
@@ -348,16 +437,37 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _edge_lines(g: Graph, line: str) -> str:
+    """The edges in sorted order, each written as line % (u, v), joined by
+    newlines; empty without edges.
+
+    Sorts the integer keys u * (n + 1) + v, which order as the (u, v) pairs
+    do but compare faster than tuples, and writes every line with one %
+    call on a flat tuple of the sorted endpoints.
+    """
+    m = g._size()
+    if not m:
+        return ""
+    tails, heads = g._ends or zip(*g._edges)
+    base = g.n + 1
+    keys = sorted(map(add, map(mul, tails, repeat(base)), heads))
+    flat = [0] * (2 * m)
+    flat[0::2] = map(floordiv, keys, repeat(base))
+    flat[1::2] = map(mod, keys, repeat(base))
+    return "\n".join([line] * m) % tuple(flat)
+
+
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in sorted order."""
-    lines = [f"{g.n} {g._size()}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g._pairs()))
-    return "\n".join(lines)
+    edges = _edge_lines(g, "%d %d")
+    return f"{g.n} {g._size()}\n{edges}" if edges else f"{g.n} 0"
 
 
 def to_dot(g: Graph) -> str:
     lines = ["graph {"]
     lines.extend(f"  {v};" for v in range(1, g.n + 1))
-    lines.extend(f"  {u} -- {v};" for u, v in sorted(g._pairs()))
+    edges = _edge_lines(g, "  %d -- %d;")
+    if edges:
+        lines.append(edges)
     lines.append("}")
     return "\n".join(lines)

@@ -90,6 +90,25 @@ def test_path_certificate_is_the_decoded_graph(monkeypatch):
     assert is_path(g) is not None
 
 
+def test_path_certificate_walks_the_decoded_graph_once(monkeypatch):
+    # The certificate's shape pass is kept on the decoded graph, and
+    # path_graph records its shape, so verify_lettering and a later decode
+    # walk neither graph again.
+    target = path_graph(500)
+    walked = []
+    degrees_and_xors = Graph._degrees_and_xors
+
+    def counting(g):
+        walked.append(g)
+        return degrees_and_xors(g)
+
+    monkeypatch.setattr(Graph, "_degrees_and_xors", counting)
+    lt = path_lettering(500)
+    assert verify_lettering(lt, target)
+    g = decode(lt)
+    assert len(walked) == 1 and walked[0] is g
+
+
 def test_path_lettering_rejects_small_n():
     with pytest.raises(ValueError):
         path_lettering(2)

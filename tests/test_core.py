@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lettergraphs import (
+    CapabilityError,
     Decoder,
     EnumerationResult,
     Graph,
@@ -383,6 +384,46 @@ def test_verify_large_path_target_via_recognizer():
 
     lt = path_lettering(40)
     assert verify_lettering(lt, path_graph(40))
+
+
+def one_letter_per_position(n, edges) -> Lettering:
+    """Word 1..n whose decoder holds (u, v) for each edge u < v: it decodes
+    to the graph with those edges, each position its own vertex."""
+    return Lettering(tuple(range(1, n + 1)), Decoder(n, frozenset(edges)))
+
+
+def test_verify_rejects_non_paths_past_the_isomorphism_bound():
+    n = 40
+    star = [(1, v) for v in range(2, n + 1)]
+    two_paths = [(v, v + 1) for v in range(1, n) if v != n // 2]
+    # n - 1 edges, as many as P_n has: P_{n-3} plus a disjoint triangle
+    short_and_triangle = [(v, v + 1) for v in range(1, n - 3)]
+    short_and_triangle += [(n - 2, n - 1), (n - 1, n), (n - 2, n)]
+    assert len(short_and_triangle) == n - 1
+    for edges in (star, two_paths, short_and_triangle):
+        assert not verify_lettering(one_letter_per_position(n, edges), path_graph(n))
+        assert not verify_lettering(one_letter_per_position(n, edges), Graph(n, path_graph(n).edges))
+
+
+def test_verify_certifies_cycles_past_the_isomorphism_bound():
+    n = 20
+    cycle = [(v, v + 1) for v in range(1, n)] + [(1, n)]
+    lt = one_letter_per_position(n, cycle)
+    # the target's labels need not follow the positions
+    relabel = [(3 * v) % n + 1 for v in range(n)]
+    target = Graph(n, frozenset((relabel[u - 1], relabel[v - 1]) for u, v in cycle))
+    assert verify_lettering(lt, target)
+    assert not verify_lettering(lt, path_graph(n))
+    assert not verify_lettering(path_lettering(n), target)
+
+
+def test_verify_refuses_targets_of_higher_degree_past_the_bound():
+    n = 20
+    star = Graph(n, frozenset((1, v) for v in range(2, n + 1)))
+    with pytest.raises(CapabilityError):
+        verify_lettering(one_letter_per_position(n, star.edges), star)
+    with pytest.raises(CapabilityError):
+        verify_lettering(path_lettering(n), star)
 
 
 # --- text formats ----------------------------------------------------------

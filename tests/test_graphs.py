@@ -15,6 +15,8 @@ from lettergraphs import (
     are_isomorphic,
     decode,
     induced_subgraph,
+    is_cycle,
+    is_linear_forest,
     is_matching,
     is_path,
     matching_graph,
@@ -82,6 +84,17 @@ def test_builders_behave_as_their_edge_sets():
     for r in range(1, 15):
         edges = frozenset((2 * i - 1, 2 * i) for i in range(1, r + 1))
         assert_same_graph(matching_graph(r), Graph(2 * r, edges))
+
+
+def test_builders_record_the_shape_they_build():
+    # path_graph and matching_graph record their shape instead of computing
+    # it; the record must be what the shape pass finds on the same edges.
+    for n in range(1, 301):
+        g = path_graph(n)
+        assert g._shape() == Graph(n, g.edges)._shape() == (((n, 1),), ())
+        if n % 2 == 0:
+            g = matching_graph(n // 2)
+            assert g._shape() == Graph(n, g.edges)._shape() == (((2, n // 2),), ())
 
 
 def test_graphs_are_immutable():
@@ -168,8 +181,9 @@ def union_of_paths_and_cycles(components, perm) -> Graph:
 
 
 def check_recognizers(g: Graph) -> None:
-    """is_path and is_matching against a union-find reference, on g and on
-    a twin holding the same edges as endpoint lists, as decode builds it."""
+    """is_path, is_cycle, is_linear_forest and is_matching against a
+    union-find reference, on g and on a twin holding the same edges as
+    endpoint lists, as decode builds it."""
     parent = list(range(g.n + 1))
 
     def root(v):
@@ -183,8 +197,13 @@ def check_recognizers(g: Graph) -> None:
         degree[v] += 1
         parent[root(u)] = root(v)
     components = len({root(v) for v in range(1, g.n + 1)})
-    # A connected graph with n - 1 edges is a tree; with degrees <= 2, a path.
-    path = g.n >= 1 and components == 1 and len(g.edges) == g.n - 1 and max(degree) <= 2
+    m = len(g.edges)
+    # A graph with n - c edges on c components is a forest; with degrees
+    # <= 2, a linear forest, and a path if c = 1. A connected graph whose
+    # degrees are all 2 is a cycle.
+    forest = m == g.n - components and max(degree) <= 2
+    path = forest and components == 1
+    cycle = g.n >= 3 and components == 1 and all(degree[v] == 2 for v in range(1, g.n + 1))
     matching = all(degree[v] == 1 for v in range(1, g.n + 1))
     edges = sorted(g.edges)
     twin = Graph._from_endpoints(g.n, [u for u, _ in edges], [v for _, v in edges])
@@ -197,6 +216,8 @@ def check_recognizers(g: Graph) -> None:
             assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
             ends = [v for v in range(1, g.n + 1) if degree[v] <= 1]
             assert order[0] == min(ends)
+        assert is_cycle(h) == cycle
+        assert is_linear_forest(h) == forest
         assert is_matching(h) == matching
 
 
@@ -216,6 +237,34 @@ def paths_and_cycles(draw, max_n=60):
 @given(paths_and_cycles())
 def test_recognizers_on_paths_and_cycles(g):
     check_recognizers(g)
+
+
+def component_multisets(n, smallest=1):
+    """Every multiset of paths (1+ vertices) and cycles (3+ vertices) on n
+    vertices in all, as nondecreasing lists of (vertex count, is cycle)."""
+    if n == 0:
+        yield []
+        return
+    for size in range(smallest, n + 1):
+        for cycle in (False, True) if size >= 3 else (False,):
+            for rest in component_multisets(n - size, size):
+                if not rest or (size, cycle) <= rest[0]:
+                    yield [(size, cycle)] + rest
+
+
+def test_shape_decides_isomorphism_at_maximum_degree_two():
+    # verify_lettering past the isomorphism bound compares shapes; below it
+    # the backtracking test can check that this is exact.
+    rng = random.Random(13)
+    for n in range(0, 11):
+        graphs_n = []
+        for components in component_multisets(n):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            graphs_n.append(union_of_paths_and_cycles(components, perm))
+        for g in graphs_n:
+            for h in graphs_n:
+                assert (g._shape() == h._shape()) == are_isomorphic(g, h)
 
 
 def test_recognizers_on_near_paths():
@@ -328,6 +377,31 @@ def test_edge_list_round_trip():
 @given(graphs())
 def test_edge_list_round_trip_random(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+def test_edge_list_and_dot_are_the_sorted_edge_set():
+    # The writers sort integer keys rather than edge tuples; their bytes
+    # must be those written from sorted(g.edges), on both representations.
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.choice([0, 1, 2, rng.randrange(3, 20), rng.randrange(20, 400)])
+        p = rng.choice([0.0, 0.02, 0.2, 0.7])
+        edges = frozenset(
+            (u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < p
+        )
+        g = Graph(n, edges)
+        pairs = list(edges)
+        rng.shuffle(pairs)  # decode's endpoint order is no sorted order either
+        twin = Graph._from_endpoints(n, [u for u, _ in pairs], [v for _, v in pairs])
+        ordered = sorted(edges)
+        text = "\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in ordered)])
+        dot = "\n".join(
+            ["graph {", *(f"  {v};" for v in range(1, n + 1)),
+             *(f"  {u} -- {v};" for u, v in ordered), "}"]
+        )
+        for h in (g, twin):
+            assert serialize_edge_list(h) == text
+            assert to_dot(h) == dot
 
 
 def test_parse_edge_list_errors():

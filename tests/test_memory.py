@@ -115,6 +115,23 @@ def test_decode_holds_no_tuple_per_edge():
     assert peak_bytes(lambda: is_path(decode(Lettering(lt.word, lt.decoder)))) < 2_500_000
 
 
+def test_path_certificate_keeps_no_vertex_order():
+    # The certificate asks the decoded graph's shape, which keeps only the
+    # component lengths: on a decoded 16k-vertex path the pass peaks near
+    # 0.35 MB and keeps under 200 bytes, where is_path's vertex order peaks
+    # near 1.03 MB and keeps 0.63 MB.
+    lt = path_lettering(16000)
+    g = decode(Lettering(lt.word, lt.decoder))
+    tracemalloc.start()
+    try:
+        assert g._shape() == (((16000, 1),), ())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert kept < 1_000
+
+
 def test_lettering_keeps_a_normalized_word_and_decoder():
     # A tuple of ints and a frozenset of int pairs are kept, not copied:
     # copying them peaks near 1.6 MB and 10.7 MB. Checking the decoder's
@@ -153,8 +170,8 @@ def test_over_bound_cli_target_is_not_built(capsys):
 
 
 def test_over_bound_path_request_is_not_built(capsys):
-    # path 1000000 --verify peaks near 195 MB max RSS and grows linearly,
-    # so path 100000000 would try to build about 20 GB; the bound is
+    # path 1000000 --verify peaks near 162 MB max RSS and grows linearly,
+    # so path 100000000 would try to build about 16 GB; the bound is
     # checked on N before any word exists.
     for argv in (["path", "1000001"], ["path", "100000000", "--verify"]):
         codes = []

@@ -76,15 +76,6 @@ class MatchingAuditReport(Record):
     max_letter_occurrences: int
     edge_paired_fraction: float
 
-    def __init__(self, r: int, k: int, witness_count: int, max_letter_occurrences: int,
-                 edge_paired_fraction: float):
-        init = object.__setattr__
-        init(self, "r", r)
-        init(self, "k", k)
-        init(self, "witness_count", witness_count)
-        init(self, "max_letter_occurrences", max_letter_occurrences)
-        init(self, "edge_paired_fraction", edge_paired_fraction)
-
     def ok(self) -> bool:
         if self.max_letter_occurrences > 2:
             return False
@@ -129,12 +120,6 @@ class WordCensus(Record):
     r: int
     fixed_alphabet_count: int  # words over the fixed alphabet {1..r}
     canonical_count: int  # first-occurrence canonical words only
-
-    def __init__(self, r: int, fixed_alphabet_count: int, canonical_count: int):
-        init = object.__setattr__
-        init(self, "r", r)
-        init(self, "fixed_alphabet_count", fixed_alphabet_count)
-        init(self, "canonical_count", canonical_count)
 
 
 def _perfect_matchings(vertices: tuple[int, ...]):

@@ -55,9 +55,7 @@ class Decoder(Record):
                     raise InvalidLetteringError(
                         f"decoder pair ({a},{b}) outside alphabet 1..{k}"
                     )
-        init = object.__setattr__
-        init(self, "alphabet_size", k)
-        init(self, "pairs", pairs)
+        Record.__init__(self, k, pairs)
 
 
 class Lettering(Record):
@@ -91,10 +89,8 @@ class Lettering(Record):
                     raise InvalidLetteringError(
                         f"letter {a} at position {i} exceeds decoder alphabet 1..{k}"
                     )
-        init = object.__setattr__
-        init(self, "word", w)
-        init(self, "decoder", decoder)
-        init(self, "_graph", None)  # the decoded graph, set by decode on first use
+        Record.__init__(self, w, decoder)
+        object.__setattr__(self, "_graph", None)  # the decoded graph, set by decode on first use
 
     @property
     def alphabet_size(self) -> int:

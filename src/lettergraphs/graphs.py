@@ -52,13 +52,41 @@ class Record:
     Equal (to an instance of the same class only) and hashed by those
     values, printed as ClassName(field=value, ...), and copied and pickled
     by calling the constructor with them, so a slot outside _fields (a
-    cache) is never compared, printed or carried. Subclasses set their
-    slots once in __init__ through object.__setattr__; assigning or
-    deleting an attribute afterwards raises AttributeError.
+    cache) is never compared, printed or carried. The constructor takes
+    the fields in order, by position or by keyword, and raises TypeError
+    for an argument missing, extra, unknown or given twice; a subclass
+    that normalizes or checks its input does so in its own __init__ and
+    ends with Record.__init__. Assigning or deleting an attribute
+    afterwards raises AttributeError; a cache slot is set through
+    object.__setattr__.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        # The field values in order from a call that is not plainly
+        # positional, or the TypeError a function with the fields as its
+        # parameters would raise.
+        fields = self._fields
+        name = f"{self.__class__.__qualname__}()"
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key not in fields[len(args) :]:
+                problem = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{name} got {problem} argument {key!r}")
+        missing = [f for f in fields[len(args) :] if f not in kwargs]
+        if missing:
+            raise TypeError(f"{name} missing arguments: {', '.join(missing)}")
+        return (*args, *[kwargs[f] for f in fields[len(args) :]])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -230,20 +258,17 @@ def _walk_shape(g: Graph) -> tuple | None:
         return None
     n = g.n
     seen = bytearray(n + 1)
-    paths = [1] * (deg.count(0) - 1)  # isolated vertices; deg[0] is none
-    end = 0
-    for _ in range(deg.count(1) // 2):
-        # The next end not yet walked; the walk from an end reaches the
-        # other end of its path, which comes later.
-        end = deg.index(1, end + 1)
-        while seen[end]:
-            end = deg.index(1, end + 1)
-        prev, cur, size = 0, end, 0
-        while cur:
-            seen[cur] = 1
-            prev, cur = cur, xor[cur] ^ prev
-            size += 1
-        paths.append(size)
+    paths = []
+    for end in range(1, n + 1):
+        # An isolated vertex or a path end not yet walked; the walk from an
+        # end reaches the other end of its path, which comes later.
+        if deg[end] < 2 and not seen[end]:
+            prev, cur, size = 0, end, 0
+            while cur:
+                seen[cur] = 1
+                prev, cur = cur, xor[cur] ^ prev
+                size += 1
+            paths.append(size)
     cycles = []
     left = n - sum(paths)
     if left:
@@ -287,17 +312,22 @@ def is_path(g: Graph) -> tuple[int, ...] | None:
     path graph always yields the same ordering (of the two possible).
     """
     n = g.n
-    if g._shape() != _path_shape(n):
+    if g._size() != n - 1:
         return None
     if n == 1:
         return (1,)
+    # n - 1 edges and maximum degree 2 leave one path, with two ends unless
+    # it is an isolated vertex, and maybe cycles: g is a path iff the walk
+    # from an end reaches every vertex.
     deg, xor = g._degrees_and_xors()
+    if max(deg) > 2 or 1 not in deg:
+        return None
+    order = []
     prev, cur = 0, deg.index(1)
-    order = [cur]
-    for _ in range(n - 1):
-        prev, cur = cur, xor[cur] ^ prev
+    while cur:
         order.append(cur)
-    return tuple(order)
+        prev, cur = cur, xor[cur] ^ prev
+    return tuple(order) if len(order) == n else None
 
 
 def is_cycle(g: Graph) -> bool:

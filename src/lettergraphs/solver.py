@@ -14,9 +14,10 @@ The decision (is_k_letterable, and so lettericity_exact) works in
 Petkovsek's structural view of letter graphs: letter classes that are
 cliques or independent sets, class pairs that are complete, empty or
 ordered one way, and an acyclic precedence. A _Completion state holds a
-placed prefix in that form, and its completion search decides exactly
-whether the prefix extends to a lettering. One search on the empty prefix
-decides k. For a feasible k the first witness (the first lettering in
+placed prefix in that form: placed extends it by one vertex, and
+completable runs the completion search, which decides exactly whether the
+prefix extends to a lettering. One search on the empty prefix decides k.
+For a feasible k the first witness (the first lettering in
 vertex-then-letter ascending order) is built by a forward-only walk: from
 the accepted prefix's state it moves to the first child state whose
 search passes. The search is exact, so no step is ever undone.
@@ -56,21 +57,11 @@ class LetteringWitness(Record):
     lettering: Lettering
     vertex_of_position: tuple[int, ...]
 
-    def __init__(self, lettering: Lettering, vertex_of_position: tuple[int, ...]):
-        init = object.__setattr__
-        init(self, "lettering", lettering)
-        init(self, "vertex_of_position", vertex_of_position)
-
 
 class EnumerationResult(Record):
     __slots__ = _fields = ("witnesses", "truncated")
     witnesses: tuple[LetteringWitness, ...]
     truncated: bool
-
-    def __init__(self, witnesses: tuple[LetteringWitness, ...], truncated: bool):
-        init = object.__setattr__
-        init(self, "witnesses", witnesses)
-        init(self, "truncated", truncated)
 
 
 def _witness(adj, order, letters, m: int, decoders: dict) -> LetteringWitness:
@@ -284,17 +275,6 @@ class _Completion:
             for b in seen:
                 pair[c * w + b] = pair[b * w + c] = _UNSEEN
         return False
-
-
-def _completable(adj, n: int, k: int, order, letters) -> bool:
-    """Whether the prefix (vertex order[i] with letter letters[i]) extends
-    to a lettering over at most k letters, for the exactness tests."""
-    state = _Completion(adj, n, k)
-    for v, c in zip(order, letters):
-        state = state.placed(v, c)
-        if state is None:
-            return False
-    return state.completable()
 
 
 def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:

@@ -109,6 +109,28 @@ def test_path_certificate_walks_the_decoded_graph_once(monkeypatch):
     assert len(walked) == 1 and walked[0] is g
 
 
+def test_is_path_reads_one_degree_pass(monkeypatch):
+    # is_path builds the degree and neighbor-XOR lists once and walks them:
+    # on a freshly decoded path (no shape kept yet), on one whose shape is
+    # recorded, and on a path plus a cycle with n - 1 edges, which only the
+    # walk rejects.
+    lt = path_lettering(500)
+    walked = []
+    degrees_and_xors = Graph._degrees_and_xors
+
+    def counting(g):
+        walked.append(g)
+        return degrees_and_xors(g)
+
+    monkeypatch.setattr(Graph, "_degrees_and_xors", counting)
+    decoded = decode(Lettering(lt.word, lt.decoder))
+    path_plus_cycle = Graph(6, frozenset({(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)}))
+    for g, is_one in ((decoded, True), (path_graph(500), True), (path_plus_cycle, False)):
+        walked.clear()
+        assert (is_path(g) is not None) == is_one
+        assert walked == [g]
+
+
 def test_path_lettering_rejects_small_n():
     with pytest.raises(ValueError):
         path_lettering(2)

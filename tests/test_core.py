@@ -227,6 +227,25 @@ def test_records_are_immutable_values(name):
     assert repr(x) == text
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_take_fields_by_position_or_keyword(name):
+    build, fields, _ = RECORDS[name]
+    x = build()
+    cls, values = type(x), tuple(getattr(x, f) for f in fields)
+    named = dict(zip(fields, values))
+    assert cls(*values) == x and cls(**named) == x
+    rest = {f: named[f] for f in fields[1:]}
+    assert cls(values[0], **rest) == x
+    for args, kwargs in (
+        ((), rest),  # the first field missing
+        ((*values, None), {}),  # an extra argument
+        (values, {"other": None}),  # an unknown keyword
+        (values[:1], named),  # the first field twice
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
 def test_decode_work_follows_the_edges():
     # In each word one letter x fills m positions where it has no edge to
     # the k other letters: after them as the first letter of (x, j) pairs,

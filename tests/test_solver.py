@@ -200,9 +200,21 @@ def test_induced_subgraphs_never_need_more_letters():
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
 
 
+def _completable(adj, n, k, order, letters):
+    # Whether the prefix (vertex order[i] with letter letters[i]) extends to
+    # a lettering over at most k letters, by the solver's completion search.
+    state = solver._Completion(adj, n, k)
+    for v, c in zip(order, letters):
+        state = state.placed(v, c)
+        if state is None:
+            return False
+    return state.completable()
+
+
 def test_completion_test_is_exact_on_every_visited_prefix():
     # Against the plain DFS reference: on every proper prefix that search
-    # visits, _completable says whether a full lettering lies below it.
+    # visits, the completion search says whether a full lettering lies
+    # below it.
     dead = 0
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
@@ -210,21 +222,21 @@ def test_completion_test_is_exact_on_every_visited_prefix():
             for k in range(n + 1):
                 for (order, letters), expected in prefix_liveness(g, k).items():
                     if 0 < len(order) < n:
-                        got = solver._completable(adj, n, k, list(order), list(letters))
+                        got = _completable(adj, n, k, order, letters)
                         assert got == expected, (g, k, order, letters)
                         dead += not expected
     assert dead > 0
 
 
 def test_root_completion_test_decides_k():
-    # The empty prefix: _completable at the root is True iff the plain DFS
-    # reference reaches a full lettering, for k = 0 too.
+    # The empty prefix: the completion search at the root passes iff the
+    # plain DFS reference reaches a full lettering, for k = 0 too.
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             adj = g.adjacency_masks()
             for k in range(n + 1):
                 expected = first_lettering(g, k) is not None
-                assert solver._completable(adj, n, k, [], []) == expected, (g, k)
+                assert solver._Completion(adj, n, k).completable() == expected, (g, k)
 
 
 def test_placement_reaches_the_reference_prefixes():

@@ -7,7 +7,7 @@ call certifies the upper bound floor((n+4)/3). For n up to
 --max-exact the exact solver certifies the matching lower bound, so on that
 prefix the formula is confirmed outright. The sweep calls the solver's
 unbounded core, so --max-exact may pass VERTEX_LIMIT: --max-exact 20 prints
-each n's time and takes about 40 s (Python 3.11, 2 vCPUs).
+each n's time and takes about 12-15 s (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ def main() -> int:
     ap.add_argument("--max-construct", type=int, default=200)
     ap.add_argument("--max-exact", type=int, default=VERTEX_LIMIT)
     args = ap.parse_args()
+    if args.max_construct < 3:
+        ap.error(f"--max-construct must be at least 3, got {args.max_construct}")
 
     print(f"{'n':>4} {'formula':>8} {'construct':>10} {'exact':>6} {'time':>8}")
     bad = 0

@@ -13,13 +13,15 @@ ascending order, so every reported result is deterministic.
 The decision (is_k_letterable, and so lettericity_exact) works in
 Petkovsek's structural view of letter graphs: letter classes that are
 cliques or independent sets, class pairs that are complete, empty or
-ordered one way, and an acyclic precedence. A _Completion state holds a
-placed prefix in that form: placed extends it by one vertex, and
-completable runs the completion search, which decides exactly whether the
-prefix extends to a lettering. One search on the empty prefix decides k.
-For a feasible k the first witness (the first lettering in
-vertex-then-letter ascending order) is built by a forward-only walk: from
-the accepted prefix's state it moves to the first child state whose
+ordered one way, and an acyclic precedence. The precedence is kept
+transitively closed, one mask of later vertices per vertex, and grows by
+one closure step (_face) per vertex that gains arcs, which refuses a cycle.
+A _Completion state holds a placed prefix in that form: placed extends it
+by one vertex, and completable runs the completion search, which decides
+exactly whether the prefix extends to a lettering. One search on the empty
+prefix decides k. For a feasible k the first witness (the first lettering
+in vertex-then-letter ascending order) is built by a forward-only walk:
+from the accepted prefix's state it moves to the first child state whose
 search passes. The search is exact, so no step is ever undone.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
@@ -119,32 +121,25 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
 _UNSEEN, _NONEDGE, _EDGE, _FIRST, _SECOND = range(5)
 
 
-def _before(reach: list[int], n: int, xs: int, ys: int) -> bool:
-    """Require every vertex in mask xs to precede every vertex in mask ys.
-    reach[u] is the transitively closed mask of vertices that must come
-    after u; returns False, with reach partly updated, on a cycle."""
-    if not xs or not ys:
-        return True
-    desc = ys
-    for y in range(1, n + 1):
-        if ys >> y & 1:
-            desc |= reach[y]
-    if desc & xs:
-        return False
-    for u in range(1, n + 1):
-        if xs >> u & 1 or reach[u] & xs:
-            reach[u] |= desc
-    return True
-
-
-def _face(reach: list[int], n: int, x: int, ax: int, others: int, state: int) -> bool:
-    """Order x against the vertices in mask others, which sit across an
-    oriented class pair in the given state; ax is x's neighbor mask."""
+def _face(reach: list[int], x: int, pre: int, post: int) -> bool:
+    """One closure step: the vertices in mask pre come before x, and x
+    before those in mask post. reach[u] is the closed mask of vertices after
+    u. Every new arc touches x, so one pass over post's set bits finds x's
+    descendants and one over reach its ancestors. Returns False, with reach
+    unchanged, iff the arcs would close a cycle."""
     xb = 1 << x
-    nbrs = ax & others
-    if state == _FIRST:
-        return _before(reach, n, xb, nbrs) and _before(reach, n, others & ~nbrs, xb)
-    return _before(reach, n, nbrs, xb) and _before(reach, n, xb, others & ~nbrs)
+    desc = reach[x] | post  # everything after x once the arcs are in
+    while post:
+        desc |= reach[(post & -post).bit_length() - 1]
+        post &= post - 1
+    src, after = pre | xb, desc | xb
+    if desc & src:
+        return False
+    for u, r in enumerate(reach):
+        if r & src or pre >> u & 1:
+            reach[u] = r | after  # u is in pre or already came before x or pre
+    reach[x] = desc
+    return True
 
 
 class _Completion:
@@ -152,8 +147,8 @@ class _Completion:
     letter letters[i], m the largest letter, rest the unplaced vertices
     (ascending), cls[c] the vertex mask of class c, pair[a * w + b] the
     state of class pair (a, b), and reach[u] the closed mask of vertices
-    after u. A built state is never changed: placed returns a new one and
-    the completion search works on copies. It forms no reference cycle."""
+    after u, grown by _face steps. A built state is never changed: placed
+    returns a new one and the search works on copies. It forms no cycle."""
 
     def __init__(self, adj, n: int, k: int):
         self.adj, self.n, self.k, self.w = adj, n, k, k + 1
@@ -209,17 +204,24 @@ class _Completion:
         (adjacency decided by which vertex comes first), with an acyclic
         precedence that puts the prefix first, in order. Unplaced vertices
         join a class or the next fresh one, a pair that turns mixed is tried
-        in both orientations, and reach stays closed, so cycles prune at once."""
+        in both orientations, and a vertex joining a class gains its arcs
+        across oriented pairs in one _face step, so cycles prune at once."""
         search = _Completion(self.adj, self.n, self.k)
         search.rest, search.cls, search.pair = self.rest, self.cls[:], self.pair[:]
         return search.place(0, self.m, self.reach)
 
     def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
-        adj, n, w, pair = self.adj, self.n, self.w, self.pair
-        pair[c * w + b] = state
-        pair[b * w + c] = _FIRST + _SECOND - state
-        cm, bm = self.cls[c], self.cls[b]
-        return all(_face(reach, n, x, adj[x], bm, state) for x in range(1, n + 1) if cm >> x & 1)
+        """Fix class pair (c, b) in the given state: one _face step for each
+        vertex of class c, against all of class b."""
+        adj, w, pair, cm, bm = self.adj, self.w, self.pair, self.cls[c], self.cls[b]
+        pair[c * w + b], pair[b * w + c] = state, _FIRST + _SECOND - state
+        while cm:
+            x = (cm & -cm).bit_length() - 1
+            early = adj[x] & bm if state == _SECOND else bm & ~adj[x]  # before x
+            if not _face(reach, x, early, bm ^ early):
+                return False
+            cm &= cm - 1
+        return True
 
     def branch(self, i: int, m: int, mixed: list[tuple[int, int]], reach: list[int]) -> bool:
         # Both orientations of each class pair that just became mixed.
@@ -236,7 +238,7 @@ class _Completion:
         return False
 
     def place(self, i: int, m: int, reach: list[int]) -> bool:
-        adj, n, w, cls, pair = self.adj, self.n, self.w, self.cls, self.pair
+        adj, w, cls, pair = self.adj, self.w, self.cls, self.pair
         if i == len(self.rest):
             return True  # every vertex has a class and no cycle was closed
         v = self.rest[i]
@@ -248,10 +250,8 @@ class _Completion:
                 continue  # a class is a clique or an independent set,
             if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(inside):
                 continue  # and v must join it as one
-            r = reach[:]
-            mixed = []
-            seen = []
-            ok = True
+            # pre and post: the vertices before and after v across oriented pairs.
+            mixed, seen, pre, post = [], [], 0, 0
             for b in range(1, m + 1):
                 bm = cls[b]
                 if b == c or not bm:
@@ -259,15 +259,15 @@ class _Completion:
                 nbrs = av & bm
                 state = pair[c * w + b]
                 if state >= _FIRST:
-                    ok = _face(r, n, v, av, bm, state)
-                    if not ok:
-                        break
+                    early = nbrs if state == _SECOND else bm ^ nbrs
+                    pre, post = pre | early, post | bm ^ early
                 elif (nbrs and nbrs != bm) or state == (_NONEDGE if nbrs else _EDGE):
                     mixed.append((c, b))
                 elif state == _UNSEEN:
                     pair[c * w + b] = pair[b * w + c] = _EDGE if nbrs else _NONEDGE
                     seen.append(b)
-            if ok:
+            r = reach[:] if pre | post else reach  # only a step that writes copies
+            if r is reach or _face(r, v, pre, post):
                 cls[c] = cm | 1 << v
                 if self.branch(i, max(m, c), mixed, r):
                     return True

@@ -6,6 +6,8 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
@@ -39,3 +41,13 @@ def test_certify_paths_counts_a_failed_witness_check(monkeypatch):
     rc, out = _run(script, monkeypatch, "--max-construct", "6", "--max-exact", "9")
     assert rc == 1
     assert out.splitlines()[-1] == "MISMATCHES: 4"
+
+
+def test_certify_paths_rejects_an_empty_range(monkeypatch, capsys):
+    # Below n = 3 the sweep would check nothing and still report success.
+    script = _load("certify_paths")
+    for bound in ("2", "0", "-5"):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(script, monkeypatch, "--max-construct", bound)
+        assert exit_info.value.code == 2
+        assert "--max-construct must be at least 3" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Exact search: decision, minimization, enumeration, and its guarantees."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +254,138 @@ def test_placement_reaches_the_reference_prefixes():
             for k in range(n + 1):
                 got = list(reached(solver._Completion(adj, n, k)))
                 assert got == list(dfs_prefixes(g, k)), (g, k)
+
+
+def _closure(n, arcs):
+    # reach[u]: every vertex some path of arcs leads to from u, by relaxing
+    # until nothing grows. A vertex in its own mask lies on a cycle.
+    reach = [0] * (n + 1)
+    for u, v in arcs:
+        reach[u] |= 1 << v
+    grown = True
+    while grown:
+        grown = False
+        for u in range(1, n + 1):
+            wider = reach[u]
+            for v in range(1, n + 1):
+                if reach[u] >> v & 1:
+                    wider |= reach[v]
+            if wider != reach[u]:
+                reach[u], grown = wider, True
+    return reach
+
+
+def test_closure_steps_match_a_brute_force_closure():
+    # Seeded random face and orient steps on one growing precedence: each
+    # returns False exactly when its arcs would close a cycle, a refused
+    # face step leaves reach as it was, and after every accepted step reach
+    # is the transitive closure of all arcs accepted so far.
+    rng = random.Random(3)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n, k = rng.randint(2, 12), rng.randint(2, 4)
+        adj = [0] * (n + 1)
+        for u, v in combinations(range(1, n + 1), 2):
+            if rng.random() < 0.5:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        state = solver._Completion(adj, n, k)
+        classes = [0] + [rng.randint(1, k) for _ in range(n)]
+        state.cls = [sum(1 << v for v in range(1, n + 1) if classes[v] == c) for c in range(k + 1)]
+        arcs, reach = set(), [0] * (n + 1)
+        for _ in range(rng.randint(1, 2 * n)):
+            kept = reach[:]
+            if rng.random() < 0.5:
+                x = rng.randint(1, n)
+                side = [0] + [rng.choice((0, 0, 1, 2)) if v != x else 0 for v in range(1, n + 1)]
+                pre = sum(1 << v for v in range(1, n + 1) if side[v] == 1)
+                post = sum(1 << v for v in range(1, n + 1) if side[v] == 2)
+                new = {(v, x) for v in range(1, n + 1) if side[v] == 1}
+                new |= {(x, v) for v in range(1, n + 1) if side[v] == 2}
+                ok = solver._face(reach, x, pre, post)
+                if not ok:
+                    assert reach == kept
+            else:
+                c, b = rng.sample(range(1, k + 1), 2)
+                state_cb = rng.choice((solver._FIRST, solver._SECOND))
+                new = set()
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        if classes[x] == c and classes[y] == b:
+                            # _FIRST: adjacent iff x comes first.
+                            x_first = bool(adj[x] >> y & 1) == (state_cb == solver._FIRST)
+                            new.add((x, y) if x_first else (y, x))
+                ok = state.orient(c, b, state_cb, reach)
+            closed = _closure(n, arcs | new)
+            assert ok == all(not closed[u] >> u & 1 for u in range(1, n + 1))
+            outcomes[ok] += 1
+            if ok:
+                arcs |= new
+                assert reach == closed
+            else:
+                reach = kept
+    assert min(outcomes.values()) > 200, outcomes
+
+
+# Witnesses past the benchmark goldens (which stop at P_9, 4K_2 and random
+# graphs on 8 vertices), pinned from the solver before its precedence
+# became one closure step per vertex: k, word, decoder pairs and
+# vertex_of_position, each the first lettering in search order.
+WITNESS_PINS = {
+    "P_13": (
+        5,
+        (1, 2, 3, 1, 2, 4, 3, 1, 5, 4, 3, 5, 4),
+        {(1, 2), (3, 1), (4, 3), (5, 4)},
+        (2, 1, 5, 4, 3, 8, 7, 6, 11, 10, 9, 13, 12),
+    ),
+    "P_14": (
+        6,
+        (1, 2, 1, 3, 2, 4, 5, 3, 2, 6, 5, 3, 6, 5),
+        {(1, 1), (2, 1), (2, 4), (3, 2), (5, 3), (6, 5)},
+        (1, 3, 2, 6, 5, 4, 9, 8, 7, 12, 11, 10, 14, 13),
+    ),
+    "P_15": (
+        6,
+        (1, 2, 1, 3, 4, 2, 1, 5, 4, 2, 6, 5, 4, 6, 5),
+        {(1, 3), (2, 1), (4, 2), (5, 4), (6, 5)},
+        (1, 4, 3, 2, 7, 6, 5, 10, 9, 8, 13, 12, 11, 15, 14),
+    ),
+    "P_16": (
+        6,
+        (1, 2, 3, 1, 2, 4, 3, 1, 5, 4, 3, 6, 5, 4, 6, 5),
+        {(1, 2), (3, 1), (4, 3), (5, 4), (6, 5)},
+        (2, 1, 5, 4, 3, 8, 7, 6, 11, 10, 9, 14, 13, 12, 16, 15),
+    ),
+    "5K_2": (
+        5,
+        (1, 1, 2, 2, 3, 3, 4, 4, 5, 5),
+        {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)},
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    ),
+    "6K_2": (
+        6,
+        (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6),
+        {(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6)},
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    ),
+    "co-P_10": (
+        4,
+        (1, 2, 3, 1, 2, 4, 3, 1, 4, 3),
+        {(1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 1), (4, 4)},
+        (2, 1, 5, 4, 3, 8, 7, 6, 10, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_PINS))
+def test_lettericity_witness_is_pinned(name):
+    graphs = {f"P_{n}": path_graph(n) for n in range(13, 17)}
+    graphs.update({"5K_2": matching_graph(5), "6K_2": matching_graph(6)})
+    graphs["co-P_10"] = Graph(10, frozenset(combinations(range(1, 11), 2)) - path_graph(10).edges)
+    k, w = solver._lettericity(graphs[name])
+    got = (k, w.lettering.word, w.lettering.decoder.pairs, w.vertex_of_position)
+    assert got == WITNESS_PINS[name]
+    assert w.lettering.decoder.alphabet_size == k
 
 
 def _first(g, k):

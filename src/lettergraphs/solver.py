@@ -22,7 +22,13 @@ exactly whether the prefix extends to a lettering. One search on the empty
 prefix decides k. For a feasible k the first witness (the first lettering
 in vertex-then-letter ascending order) is built by a forward-only walk:
 from the accepted prefix's state it moves to the first child state whose
-search passes. The search is exact, so no step is ever undone.
+search passes. The search is exact, so no step is ever undone. completable
+first rejects a prefix that some unplaced vertex sees partly in a class:
+that vertex follows the whole class, so one letter pair fixes its edges to
+all of it. A passing search records the lettering it reached, and the walk
+carries it: the child it certifies (its smallest unplaced vertex that no
+unplaced vertex precedes, under that vertex's class) is taken without a
+search once every earlier child has failed its own.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
 choices that runs no completion search, which there cost more than it saved.
@@ -148,7 +154,11 @@ class _Completion:
     (ascending), cls[c] the vertex mask of class c, pair[a * w + b] the
     state of class pair (a, b), and reach[u] the closed mask of vertices
     after u, grown by _face steps. A built state is never changed: placed
-    returns a new one and the search works on copies. It forms no cycle."""
+    returns a new one and the search works on copies. It forms no cycle.
+    completion is (cls, reach) of a lettering that extends the prefix, once
+    a completion search on it (or the walk) has recorded one, else None."""
+
+    completion = None
 
     def __init__(self, adj, n: int, k: int):
         self.adj, self.n, self.k, self.w = adj, n, k, k + 1
@@ -205,10 +215,45 @@ class _Completion:
         precedence that puts the prefix first, in order. Unplaced vertices
         join a class or the next fresh one, a pair that turns mixed is tried
         in both orientations, and a vertex joining a class gains its arcs
-        across oriented pairs in one _face step, so cycles prune at once."""
-        search = _Completion(self.adj, self.n, self.k)
+        across oriented pairs in one _face step, so cycles prune at once.
+
+        Before searching it checks every unplaced vertex forward: u follows
+        all placed members of a class, so one letter pair decides u's edges
+        to all of them, and a class that u sees partly rejects the prefix.
+        The check is exact and finds nothing on the empty prefix. It stays
+        out of placed, which checks only the vertex it places, so that
+        children reaches exactly the prefixes of a plain DFS. On success it
+        records the completion the search reached: every vertex's class mask
+        and the closed reach."""
+        adj = self.adj
+        for cm in self.cls:
+            if cm & (cm - 1):
+                for u in self.rest:
+                    seen = adj[u] & cm
+                    if seen and seen != cm:
+                        return False
+        search = _Completion(adj, self.n, self.k)
         search.rest, search.cls, search.pair = self.rest, self.cls[:], self.pair[:]
-        return search.place(0, self.m, self.reach)
+        if not search.place(0, self.m, self.reach):
+            return False
+        self.completion = search.cls, search.reach
+        return True
+
+    def certified(self) -> tuple[int, int] | None:
+        """The placement (v, c) that the recorded completion certifies, or
+        None without one. v is the smallest unplaced vertex that no unplaced
+        vertex precedes there, so some linear extension of its precedence
+        places v next; c is the letter whose placed members lie in v's class
+        there, or the fresh letter m + 1 if that class has none yet."""
+        if self.completion is None:
+            return None
+        cls, reach = self.completion
+        later = 0
+        for u in self.rest:
+            later |= reach[u]
+        v = next(u for u in self.rest if not later >> u & 1)
+        cv = next(cm for cm in cls if cm >> v & 1)
+        return v, next((a for a in range(1, self.m + 1) if self.cls[a] & cv), self.m + 1)
 
     def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
         """Fix class pair (c, b) in the given state: one _face step for each
@@ -240,6 +285,7 @@ class _Completion:
     def place(self, i: int, m: int, reach: list[int]) -> bool:
         adj, w, cls, pair = self.adj, self.w, self.cls, self.pair
         if i == len(self.rest):
+            self.reach = reach  # the completion's precedence, for completable
             return True  # every vertex has a class and no cycle was closed
         v = self.rest[i]
         av = adj[v]
@@ -383,17 +429,29 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     reaches first. One completion search on the empty prefix decides k.
     For a feasible k the walk keeps the accepted prefix's state and moves
     to its first child whose completion search passes, never back: the
-    search is exact, so that child extends and no earlier one did."""
+    search is exact, so that child extends and no earlier one did.
+
+    The walk carries the last completion a search recorded. The child it
+    certifies is accepted without a search, once the children before it in
+    vertex-then-letter order have failed theirs; a child that passes carries
+    its own completion from then on. A state without one tests every child."""
     adj = g.adjacency_masks()
     state = _Completion(adj, g.n, k)
     if not state.completable():
         return None  # one exact search at the root decides an infeasible k
     for _ in range(g.n):
-        state = next((child for child in state.children() if child.completable()), None)
-        if state is None:
+        sure = state.certified()
+        for child in state.children():
+            if (child.order[-1], child.letters[-1]) == sure:
+                child.completion = state.completion  # it extends to that lettering
+                break
+            if child.completable():
+                break
+        else:
             raise RuntimeError(
                 f"internal error: the completion search passed a dead prefix at k={k}"
             )
+        state = child
     return _witness(adj, state.order, state.letters, state.m, {})
 
 

@@ -12,6 +12,7 @@ from lettergraphs import (
     Decoder,
     EnumerationResult,
     Graph,
+    Lettering,
     decode,
     enumerate_letterings,
     is_k_letterable,
@@ -214,18 +215,28 @@ def _completable(adj, n, k, order, letters):
 def test_completion_test_is_exact_on_every_visited_prefix():
     # Against the plain DFS reference: on every proper prefix that search
     # visits, the completion search says whether a full lettering lies
-    # below it.
-    dead = 0
-    for n in range(1, 6):
-        for g in all_graphs_up_to_iso(n):
-            adj = g.adjacency_masks()
-            for k in range(n + 1):
-                for (order, letters), expected in prefix_liveness(g, k).items():
-                    if 0 < len(order) < n:
-                        got = _completable(adj, n, k, order, letters)
-                        assert got == expected, (g, k, order, letters)
-                        dead += not expected
-    assert dead > 0
+    # below it. Every graph with n <= 5 at every k, then seeded random graphs
+    # on 6 and 7 vertices at small k, where classes often hold two members,
+    # so the forward check (an unplaced vertex sees a class all or nothing)
+    # has something to check.
+    cases = [(g, k) for n in range(1, 6) for g in all_graphs_up_to_iso(n) for k in range(n + 1)]
+    rng = random.Random(19)
+    for n, p in ((6, 0.3), (6, 0.5), (6, 0.7), (7, 0.4), (7, 0.6)):
+        g = Graph(n, frozenset(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
+        cases += [(g, k) for k in ((2, 3, 4) if n == 6 else (2, 3))]
+    dead = fired = 0
+    for g, k in cases:
+        n, adj = g.n, g.adjacency_masks()
+        for (order, letters), expected in prefix_liveness(g, k).items():
+            if 0 < len(order) < n:
+                got = _completable(adj, n, k, order, letters)
+                assert got == expected, (g, k, order, letters)
+                dead += not expected
+                if n > 5:
+                    classes = [sum(1 << v for v, a in zip(order, letters) if a == c) for c in range(1, k + 1)]
+                    left = [u for u in range(1, n + 1) if u not in order]
+                    fired += any(0 != adj[u] & cm != cm for u in left for cm in classes)
+    assert dead > 0 and fired > 0
 
 
 def test_root_completion_test_decides_k():
@@ -254,6 +265,56 @@ def test_placement_reaches_the_reference_prefixes():
             for k in range(n + 1):
                 got = list(reached(solver._Completion(adj, n, k)))
                 assert got == list(dfs_prefixes(g, k)), (g, k)
+
+
+def _completion_word(g, completion):
+    # A word from a recorded completion: the vertices in a linear extension
+    # of its precedence (the smallest vertex with no earlier one left first),
+    # each under its class, classes numbered by first use.
+    cls, reach = completion
+    left, order, number, letters = set(range(1, g.n + 1)), [], {}, []
+    while left:
+        v = min(u for u in left if not any(reach[w] >> u & 1 for w in left))
+        left.remove(v)
+        order.append(v)
+        c = next(c for c, cm in enumerate(cls) if cm >> v & 1)
+        letters.append(number.setdefault(c, len(number) + 1))
+    return tuple(order), tuple(letters)
+
+
+def _assert_completion_letters(g, k, state):
+    # The completion that state's search recorded gives a lettering of g
+    # over at most k letters whose word starts with the state's prefix.
+    order, letters = _completion_word(g, state.completion)
+    lettering = Lettering(letters, Decoder(max(letters), _reference_pairs(g, order, letters)))
+    assert verify_lettering(lettering, g, order), (g, k, state.order)
+    assert lettering.alphabet_size <= k
+    depth = len(state.order)
+    assert (order[:depth], letters[:depth]) == (tuple(state.order), tuple(state.letters))
+
+
+def test_recorded_completion_is_a_lettering():
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            for k in range(n + 1):
+                root = solver._Completion(g.adjacency_masks(), n, k)
+                if root.completable():
+                    _assert_completion_letters(g, k, root)
+                else:
+                    assert root.completion is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=7), st.integers(1, 7))
+def test_recorded_completion_is_a_lettering_of_labelled_graphs(g, k):
+    # Also below the root: along the walk, each first child whose search
+    # passes records a completion that keeps its prefix.
+    state = solver._Completion(g.adjacency_masks(), g.n, min(k, g.n))
+    if state.completable():
+        _assert_completion_letters(g, k, state)
+        while state.rest:
+            state = next(child for child in state.children() if child.completable())
+            _assert_completion_letters(g, k, state)
 
 
 def _closure(n, arcs):
@@ -446,6 +507,32 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
     assert is_k_letterable(path_graph(7), 2) is None
     assert is_k_letterable(matching_graph(4), 3) is None
     assert len(calls) == 2
+
+
+def test_walk_completion_searches_are_pinned(monkeypatch):
+    # The root search plus the walk's searches, and how many of them get
+    # past the forward check to search at all (place at i = 0). Without the
+    # carried completion P_9, P_10 and 4K_2 take 27, 32 and 9 searches;
+    # without the forward check every search gets past it.
+    completable, place = solver._Completion.completable, solver._Completion.place
+    calls, searched = [], []
+
+    def counted(state):
+        calls.append(state)
+        return completable(state)
+
+    def counted_place(state, i, m, reach):
+        if i == 0:
+            searched.append(state)
+        return place(state, i, m, reach)
+
+    monkeypatch.setattr(solver._Completion, "completable", counted)
+    monkeypatch.setattr(solver._Completion, "place", counted_place)
+    for g, expected in ((path_graph(9), (19, 7)), (path_graph(10), (22, 7)), (matching_graph(4), (1, 1))):
+        calls.clear()
+        searched.clear()
+        assert is_k_letterable(g, 4) is not None
+        assert (len(calls), len(searched)) == expected, g
 
 
 def test_enumeration_matches_the_reference_dfs():

@@ -42,25 +42,24 @@ def check_betweenness(lettering: Lettering) -> list[tuple[int, int, int]]:
     """Violations (i, j, k): positions i < k share a letter, j is adjacent
     to exactly one of them, yet j does not lie strictly between them.
     Always empty; decoded graphs cannot distinguish twin positions from
-    outside the gap."""
-    g = decode(lettering)
-    w = lettering.word
-    n = len(w)
-    adj = g.adjacency_masks()
+    outside the gap.
+
+    On neighbor masks, the j of a pair (i, k) are the set bits of
+    adj[i] ^ adj[k] outside positions i..k, listed by letter, then by
+    position pair, then by j."""
+    adj = decode(lettering).adjacency_masks()
     by_letter: dict[int, list[int]] = {}
-    for i, a in enumerate(w, start=1):
+    for i, a in enumerate(lettering.word, start=1):
         by_letter.setdefault(a, []).append(i)
     out = []
     for a in sorted(by_letter):
         ps = by_letter[a]
-        for x in range(len(ps)):
-            for y in range(x + 1, len(ps)):
-                i, k = ps[x], ps[y]
-                for j in range(1, n + 1):
-                    if j == i or j == k:
-                        continue
-                    if (adj[i] >> j & 1) != (adj[k] >> j & 1) and not i < j < k:
-                        out.append((i, j, k))
+        for x, i in enumerate(ps):
+            for k in ps[x + 1:]:
+                outside = (adj[i] ^ adj[k]) & ~((2 << k) - (1 << i))
+                while outside:
+                    out.append((i, (outside & -outside).bit_length() - 1, k))
+                    outside &= outside - 1
     return out
 
 

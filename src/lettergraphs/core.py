@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, are_isomorphic
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _integer, are_isomorphic
 
 Word = tuple[int, ...]
 
@@ -38,16 +38,22 @@ class Decoder(Record):
 
     def __init__(self, alphabet_size: int, pairs: frozenset[tuple[int, int]] = frozenset()):
         k = alphabet_size
+        if type(k) is not int:
+            k = _integer(k, "alphabet size", InvalidLetteringError)
         if k < 0:
             raise InvalidLetteringError(f"alphabet size must be >= 0, got {k}")
         # A frozenset of (int, int) tuples is kept as given; anything else is
-        # normalized into one. The checks run in C, over the pairs and over
-        # one flat list of their letters.
+        # normalized into one, and a letter int() would truncate raises. The
+        # checks run in C, over the pairs and over one flat list of their
+        # letters.
         letters = None
         if type(pairs) is frozenset and {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
             letters = [*chain.from_iterable(pairs)]
         if letters is None or not {*map(type, letters)} <= {int}:
-            pairs = frozenset((int(a), int(b)) for a, b in pairs)
+            pairs = frozenset(
+                (_integer(a, "letter", InvalidLetteringError), _integer(b, "letter", InvalidLetteringError))
+                for a, b in pairs
+            )
             letters = [*chain.from_iterable(pairs)]
         if letters and (min(letters) < 1 or max(letters) > k):
             for a, b in pairs:
@@ -73,13 +79,14 @@ class Lettering(Record):
 
     def __init__(self, word: Word, decoder: Decoder):
         w = word
-        # A tuple of ints is kept as given; anything else is normalized.
+        # A tuple of ints is kept as given; anything else is normalized, and
+        # a letter int() would truncate raises.
         if type(w) is not tuple or not {*map(type, w)} <= {int}:
             # From a list, not a generator: tuple() resizes a tuple built
             # from a generator, so it never reuses a freed tuple of its
             # length but joins that length's free list when freed, which
             # then fills up.
-            w = tuple([int(a) for a in w])
+            w = tuple([_integer(a, "letter", InvalidLetteringError) for a in w])
         k = decoder.alphabet_size
         if w and (min(w) < 1 or max(w) > k):
             for i, a in enumerate(w, start=1):
@@ -211,7 +218,9 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
         raise ValueError(f"word length {n} != vertex count {target.n}")
     decoded = decode(lettering)
     if mapping is not None:
-        m = tuple([int(v) for v in mapping])  # a list, as in Lettering
+        m = mapping  # a tuple of ints is kept as given, as in Lettering
+        if type(m) is not tuple or not {*map(type, m)} <= {int}:
+            m = tuple([_integer(v, "vertex") for v in m])
         if sorted(m) != list(range(1, n + 1)):
             raise ValueError("mapping must be a bijection onto vertices 1..n")
         # Read the endpoint pairs, not decoded.edges: the lettering keeps its

@@ -46,6 +46,21 @@ ISOMORPHISM_VERTEX_LIMIT = 12
 _UNSET = object()
 
 
+def _integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """value as an int: ints, bools, digit strings and integral numbers
+    such as 2.0 are taken; any other value that int() would change, such
+    as 1.5, raises error instead of being truncated."""
+    if isinstance(value, str):
+        return int(value)
+    try:
+        i = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        i = None
+    if i is None or i != value:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return i
+
+
 class Record:
     """Immutable slotted record over the attributes named in _fields.
 
@@ -115,6 +130,8 @@ class Record:
 
 class Graph(Record):
     """Loopless undirected graph; edges stored as (u, v) pairs with u < v.
+    Vertices and the vertex count are ints: integral values such as 2.0
+    are converted, and non-integral ones raise ValueError.
 
     Immutable, and equal and hashed by (n, edges). A graph is held as its
     edge set (this constructor) or as flat endpoint lists (_from_endpoints,
@@ -125,14 +142,19 @@ class Graph(Record):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
+        if type(n) is not int:
+            n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         edges = edges if type(edges) is frozenset else tuple(edges)
-        # A frozenset of (u, v) tuples with u < v is kept as given; a copy
-        # would double it.
-        keep = type(edges) is frozenset
+        # A frozenset of (u, v) int tuples with u < v is kept as given; a
+        # copy would double it.
+        keep, ints = type(edges) is frozenset, True
         for e in edges:
             u, v = e
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u, "vertex"), _integer(v, "vertex")
+                keep = ints = False
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if u > v:
@@ -141,6 +163,8 @@ class Graph(Record):
             if u < 1 or v > n:
                 raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{n}")
             keep = keep and type(e) is tuple
+        if not ints:
+            edges = [(int(u), int(v)) for u, v in edges]  # each checked above
         if not keep:
             edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         self._init(n, edges, None, _UNSET)

@@ -25,10 +25,15 @@ from the accepted prefix's state it moves to the first child state whose
 search passes. The search is exact, so no step is ever undone. completable
 first rejects a prefix that some unplaced vertex sees partly in a class:
 that vertex follows the whole class, so one letter pair fixes its edges to
-all of it. A passing search records the lettering it reached, and the walk
-carries it: the child it certifies (its smallest unplaced vertex that no
-unplaced vertex precedes, under that vertex's class) is taken without a
-search once every earlier child has failed its own.
+all of it. The walk decides that check for each step (v, c) on the parent
+state, before placing anything (steps): the parent passed it, so only the
+class v joins can fail, and it fails iff v and a member of that class
+differ on some other unplaced vertex. Only the steps it keeps are placed
+and searched, and each of those searches gets past the check. A passing
+search records the lettering it reached, and the walk carries it: the
+child it certifies (its smallest unplaced vertex that no unplaced vertex
+precedes, under that vertex's class) is taken without a search once every
+earlier child has failed its own.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
 choices that runs no completion search, which there cost more than it saved.
@@ -168,13 +173,37 @@ class _Completion:
         self.pair = [_UNSEEN] * (k + 1) ** 2
         self.reach = [0] * (n + 1)
 
-    def children(self):
-        """Each consistent next placement: v ascending, then c up to the next fresh letter."""
-        for v in self.rest:
-            for c in range(1, min(self.m + 1, self.k) + 1):
-                child = self.placed(v, c)
-                if child is not None:
-                    yield child
+    def _derived(self, order, letters, m: int, rest, cls, pair, reach) -> _Completion:
+        """A state of the same graph and k holding the given lists, built
+        without the constructor, whose empty lists would be thrown away.
+        The attributes are set in the constructor's order, so the instance
+        keeps the class's shared attribute layout, which a copy.copy
+        instance loses (its attributes are then looked up more slowly)."""
+        new = _Completion.__new__(_Completion)
+        new.adj, new.n, new.k, new.w = self.adj, self.n, self.k, self.w
+        new.order, new.letters, new.m = order, letters, m
+        new.rest, new.cls, new.pair, new.reach = rest, cls, pair, reach
+        return new
+
+    def steps(self):
+        """The next placements (v, c) that the forward check keeps, v
+        ascending, then c up to the next fresh letter: those that leave no
+        other unplaced vertex seeing the grown class cls[c] | 1 << v partly.
+
+        Decided on this state, for a state whose own forward check holds:
+        every unplaced vertex sees each class all or nothing, so it sees
+        class c iff it is adjacent to one member x, and it sees the grown
+        class partly iff x and v differ on it. The other classes are
+        unchanged, so the child's forward check keeps exactly these."""
+        adj, cls, rest = self.adj, self.cls, self.rest
+        unplaced = sum(1 << u for u in rest)
+        fresh = min(self.m + 1, self.k)
+        for v in rest:
+            av, others = adj[v], unplaced ^ 1 << v
+            for c in range(1, fresh + 1):
+                cm = cls[c]
+                if not cm or not (adj[(cm & -cm).bit_length() - 1] ^ av) & others:
+                    yield v, c
 
     def placed(self, v: int, c: int) -> _Completion | None:
         """A copy with v placed next under letter c, or None if that breaks
@@ -188,12 +217,9 @@ class _Completion:
             return None  # v sees each class all or nothing,
         if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(av & cm):
             return None  # and joins its own as a clique or independent set
-        # Copies come from the constructor, not copy.copy: CPython looks up
-        # attributes of a copy.copy instance more slowly, on the hot path.
-        new = _Completion(self.adj, self.n, self.k)
-        new.cls, new.pair, new.reach = cls, pair, reach = self.cls[:], self.pair[:], self.reach[:]
-        new.order, new.letters, new.m = self.order + [v], self.letters + [c], max(self.m, c)
-        new.rest = [u for u in self.rest if u != v]
+        cls, pair, reach = self.cls[:], self.pair[:], self.reach[:]
+        rest = [u for u in self.rest if u != v]
+        new = self._derived(self.order + [v], self.letters + [c], max(self.m, c), rest, cls, pair, reach)
         cls[c] = cm | 1 << v
         for b in range(1, self.m + 1):
             if b == c:
@@ -204,7 +230,7 @@ class _Completion:
                 pair[c * w + b] = pair[b * w + c] = flat
             elif state != fit and not new.orient(c, b, fit, reach):
                 return None
-        reach[v] = sum(1 << u for u in new.rest)  # v precedes every unplaced vertex
+        reach[v] = sum(1 << u for u in rest)  # v precedes every unplaced vertex
         return new
 
     def completable(self) -> bool:
@@ -222,9 +248,10 @@ class _Completion:
         to all of them, and a class that u sees partly rejects the prefix.
         The check is exact and finds nothing on the empty prefix. It stays
         out of placed, which checks only the vertex it places, so that
-        children reaches exactly the prefixes of a plain DFS. On success it
-        records the completion the search reached: every vertex's class mask
-        and the closed reach."""
+        placing every consistent child reaches exactly the prefixes of a
+        plain DFS; the walk runs it ahead of placed through steps. On
+        success it records the completion the search reached: every
+        vertex's class mask and the closed reach."""
         adj = self.adj
         for cm in self.cls:
             if cm & (cm - 1):
@@ -232,8 +259,7 @@ class _Completion:
                     seen = adj[u] & cm
                     if seen and seen != cm:
                         return False
-        search = _Completion(adj, self.n, self.k)
-        search.rest, search.cls, search.pair = self.rest, self.cls[:], self.pair[:]
+        search = self._derived(self.order, self.letters, self.m, self.rest, self.cls[:], self.pair[:], self.reach)
         if not search.place(0, self.m, self.reach):
             return False
         self.completion = search.cls, search.reach
@@ -431,6 +457,12 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     to its first child whose completion search passes, never back: the
     search is exact, so that child extends and no earlier one did.
 
+    Each step is decided on the parent state first: steps keeps only the
+    placements (v, c) that leave no other unplaced vertex seeing class c
+    partly, the one part of the child's forward check that can fail, so a
+    step it drops is never placed and every search the walk runs gets past
+    that check.
+
     The walk carries the last completion a search recorded. The child it
     certifies is accepted without a search, once the children before it in
     vertex-then-letter order have failed theirs; a child that passes carries
@@ -441,8 +473,11 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
         return None  # one exact search at the root decides an infeasible k
     for _ in range(g.n):
         sure = state.certified()
-        for child in state.children():
-            if (child.order[-1], child.letters[-1]) == sure:
+        for step in state.steps():
+            child = state.placed(*step)
+            if child is None:
+                continue
+            if step == sure:
                 child.completion = state.completion  # it extends to that lettering
                 break
             if child.completable():

@@ -1,6 +1,8 @@
 """Betweenness, matching-lettering audits, and the word census."""
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from lettergraphs import (
     CapabilityError,
     Decoder,
+    Graph,
     Lettering,
+    audits,
     audit_matching_letterings,
     check_betweenness,
     count_matching_words,
@@ -42,6 +46,49 @@ def test_betweenness_examples():
 @given(letterings())
 def test_betweenness_never_violated(lt):
     assert check_betweenness(lt) == []
+
+
+def _betweenness_reference(lettering, g):
+    # The per-vertex loop: for each same-letter pair (i, k), by letter and
+    # then position pair, every j adjacent to exactly one of them that does
+    # not lie strictly between them.
+    w = lettering.word
+    adj = g.adjacency_masks()
+    by_letter = {}
+    for i, a in enumerate(w, start=1):
+        by_letter.setdefault(a, []).append(i)
+    out = []
+    for a in sorted(by_letter):
+        ps = by_letter[a]
+        for x in range(len(ps)):
+            for y in range(x + 1, len(ps)):
+                i, k = ps[x], ps[y]
+                for j in range(1, len(w) + 1):
+                    if j == i or j == k:
+                        continue
+                    if (adj[i] >> j & 1) != (adj[k] >> j & 1) and not i < j < k:
+                        out.append((i, j, k))
+    return out
+
+
+def test_betweenness_matches_the_per_vertex_loop_on_any_graph(monkeypatch):
+    # Decoded graphs never violate the rule, so the check is fed arbitrary
+    # ones: every labelled graph with n <= 6 under a seeded random word,
+    # each compared with the per-vertex loop, violations and order alike.
+    rng = random.Random(8)
+    fed = [None]  # the graph the next decode returns
+    monkeypatch.setattr(audits, "decode", lambda lettering: fed[0])
+    violations = 0
+    for n in range(7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for code in range(1 << len(pairs)):
+            fed[0] = Graph(n, frozenset(e for b, e in enumerate(pairs) if code >> b & 1))
+            k = rng.randint(1, max(n - 1, 1))
+            lettering = Lettering(tuple([rng.randint(1, k) for _ in range(n)]), Decoder(k))
+            expected = _betweenness_reference(lettering, fed[0])
+            assert check_betweenness(lettering) == expected, (fed[0], lettering.word)
+            violations += len(expected)
+    assert violations > 0
 
 
 def test_audit_at_minimum_alphabet():

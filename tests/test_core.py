@@ -123,6 +123,11 @@ def test_invalid_lettering_messages():
         (lambda: Decoder(2, frozenset({(1, 0)})), "decoder pair (1,0) outside alphabet 1..2"),
         (lambda: Decoder(2, [[1, "3"]]), "decoder pair (1,3) outside alphabet 1..2"),
         (lambda: Decoder(-1), "alphabet size must be >= 0, got -1"),
+        # A non-integral letter or alphabet size is rejected, not truncated.
+        (lambda: Decoder(2, [(1.9, 1)]), "letter must be an integer, got 1.9"),
+        (lambda: Lettering([1.5, 2.7], Decoder(2, [(1, 2)])), "letter must be an integer, got 1.5"),
+        (lambda: Decoder(2.5), "alphabet size must be an integer, got 2.5"),
+        (lambda: Decoder(float("inf")), "alphabet size must be an integer, got inf"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidLetteringError) as info:
@@ -395,6 +400,10 @@ def test_verify_lettering_size_mismatch():
 def test_verify_lettering_bad_mapping():
     with pytest.raises(ValueError):
         verify_lettering(P7_LETTERING, path_graph(7), (1, 1, 2, 3, 4, 5, 6))
+    # 1.5 is not truncated to vertex 1.
+    with pytest.raises(ValueError, match="vertex must be an integer, got 1.5"):
+        verify_lettering(Lettering((1, 1), Decoder(1, {(1, 1)})), Graph(2, {(1, 2)}), [1.5, 2])
+    assert verify_lettering(P7_LETTERING, path_graph(7), [2.0, 1, 5, 4, 3, 7, 6])
 
 
 def test_verify_large_path_target_via_recognizer():

@@ -119,6 +119,14 @@ def test_graph_rejects_bad_edges():
         Graph(3, frozenset({(1, 4)}))
     with pytest.raises(ValueError):
         Graph(-1)
+    # Non-integral vertices and vertex counts are rejected, not kept as
+    # floats; integral ones become ints.
+    for n, edges in ((3, [(1.5, 2)]), (3, [(1, 2.5)]), (2.5, []), (float("nan"), [])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Graph(n, edges)
+    g = Graph(3.0, [(1.0, 2), (True, 3)])
+    assert g == Graph(3, frozenset({(1, 2), (1, 3)}))
+    assert type(g.n) is int and all(type(u) is int for e in g.edges for u in e)
 
 
 def test_builders():

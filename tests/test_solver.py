@@ -201,6 +201,16 @@ def test_induced_subgraphs_never_need_more_letters():
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
 
 
+def _children(state):
+    # Each consistent next placement: v ascending, then c up to the next
+    # fresh letter, every child placed builds.
+    for v in state.rest:
+        for c in range(1, min(state.m + 1, state.k) + 1):
+            child = state.placed(v, c)
+            if child is not None:
+                yield child
+
+
 def _completable(adj, n, k, order, letters):
     # Whether the prefix (vertex order[i] with letter letters[i]) extends to
     # a lettering over at most k letters, by the solver's completion search.
@@ -239,6 +249,43 @@ def test_completion_test_is_exact_on_every_visited_prefix():
     assert dead > 0 and fired > 0
 
 
+def _forward_check(state):
+    # completable's first test, spelled out: every unplaced vertex sees
+    # each class of two or more members all or nothing.
+    adj = state.adj
+    return all(adj[u] & cm in (0, cm) for cm in state.cls if cm & (cm - 1) for u in state.rest)
+
+
+def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
+    # On every prefix the plain DFS reaches whose own forward check holds
+    # (the only states the walk extends), a placement that placed accepts
+    # is among steps() iff its child passes the forward check, and steps()
+    # lists its placements in walk order. Every graph with n <= 5 at
+    # k <= 3, where classes often hold two members, then seeded random
+    # graphs on 6 and 7 vertices.
+    cases = [(g, k) for n in range(1, 6) for g in all_graphs_up_to_iso(n) for k in range(min(n, 3) + 1)]
+    rng = random.Random(23)
+    for n, p in ((6, 0.3), (6, 0.5), (6, 0.7), (7, 0.4), (7, 0.6)):
+        g = Graph(n, frozenset(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
+        cases += [(g, k) for k in (2, 3)]
+    dropped = 0
+
+    def visit(state):
+        nonlocal dropped
+        steps = list(state.steps())
+        assert steps == sorted(steps)
+        for child in _children(state):
+            step, passes = (child.order[-1], child.letters[-1]), _forward_check(child)
+            assert (step in steps) == passes, (state.order, state.letters, step)
+            dropped += not passes
+            if passes:
+                visit(child)
+
+    for g, k in cases:
+        visit(solver._Completion(g.adjacency_masks(), g.n, k))
+    assert dropped > 0
+
+
 def test_root_completion_test_decides_k():
     # The empty prefix: the completion search at the root passes iff the
     # plain DFS reference reaches a full lettering, for k = 0 too.
@@ -256,7 +303,7 @@ def test_placement_reaches_the_reference_prefixes():
     # reference reaches, in the same order.
     def reached(state):
         yield tuple(state.order), tuple(state.letters)
-        for child in state.children():
+        for child in _children(state):
             yield from reached(child)
 
     for n in range(1, 6):
@@ -313,7 +360,7 @@ def test_recorded_completion_is_a_lettering_of_labelled_graphs(g, k):
     if state.completable():
         _assert_completion_letters(g, k, state)
         while state.rest:
-            state = next(child for child in state.children() if child.completable())
+            state = next(child for child in _children(state) if child.completable())
             _assert_completion_letters(g, k, state)
 
 
@@ -510,12 +557,14 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
 
 
 def test_walk_completion_searches_are_pinned(monkeypatch):
-    # The root search plus the walk's searches, and how many of them get
-    # past the forward check to search at all (place at i = 0). Without the
-    # carried completion P_9, P_10 and 4K_2 take 27, 32 and 9 searches;
-    # without the forward check every search gets past it.
-    completable, place = solver._Completion.completable, solver._Completion.place
-    calls, searched = [], []
+    # The root search plus the walk's searches, how many of them get past
+    # the forward check to search at all (place at i = 0), and how many
+    # child states placed builds. Without the carried completion P_9, P_10
+    # and 4K_2 take 27, 32 and 9 searches. Deciding each step on its parent
+    # leaves every search call past the forward check; placing each child
+    # before that check takes 19, 22 and 1 calls and builds 26, 31 and 8.
+    completable, place, placed = solver._Completion.completable, solver._Completion.place, solver._Completion.placed
+    calls, searched, built = [], [], []
 
     def counted(state):
         calls.append(state)
@@ -526,13 +575,25 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
             searched.append(state)
         return place(state, i, m, reach)
 
+    def counted_placed(state, v, c):
+        child = placed(state, v, c)
+        if child is not None:
+            built.append(child)
+        return child
+
     monkeypatch.setattr(solver._Completion, "completable", counted)
     monkeypatch.setattr(solver._Completion, "place", counted_place)
-    for g, expected in ((path_graph(9), (19, 7)), (path_graph(10), (22, 7)), (matching_graph(4), (1, 1))):
+    monkeypatch.setattr(solver._Completion, "placed", counted_placed)
+    for g, expected in (
+        (path_graph(9), (7, 7, 14)),
+        (path_graph(10), (7, 7, 16)),
+        (matching_graph(4), (1, 1, 8)),
+    ):
         calls.clear()
         searched.clear()
+        built.clear()
         assert is_k_letterable(g, 4) is not None
-        assert (len(calls), len(searched)) == expected, g
+        assert (len(calls), len(searched), len(built)) == expected, g
 
 
 def test_enumeration_matches_the_reference_dfs():

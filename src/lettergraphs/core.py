@@ -29,6 +29,10 @@ from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _integer, are_isomo
 Word = tuple[int, ...]
 
 
+def _letter(value) -> int:
+    return _integer(value, "letter", InvalidLetteringError, digits=True)
+
+
 class Decoder(Record):
     """Ordered letter pairs over {1..alphabet_size}."""
 
@@ -50,10 +54,7 @@ class Decoder(Record):
         if type(pairs) is frozenset and {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
             letters = [*chain.from_iterable(pairs)]
         if letters is None or not {*map(type, letters)} <= {int}:
-            pairs = frozenset(
-                (_integer(a, "letter", InvalidLetteringError), _integer(b, "letter", InvalidLetteringError))
-                for a, b in pairs
-            )
+            pairs = frozenset((_letter(a), _letter(b)) for a, b in pairs)
             letters = [*chain.from_iterable(pairs)]
         if letters and (min(letters) < 1 or max(letters) > k):
             for a, b in pairs:
@@ -86,7 +87,7 @@ class Lettering(Record):
             # from a generator, so it never reuses a freed tuple of its
             # length but joins that length's free list when freed, which
             # then fills up.
-            w = tuple([_integer(a, "letter", InvalidLetteringError) for a in w])
+            w = tuple([_letter(a) for a in w])
         k = decoder.alphabet_size
         if w and (min(w) < 1 or max(w) > k):
             for i, a in enumerate(w, start=1):
@@ -220,7 +221,7 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
     if mapping is not None:
         m = mapping  # a tuple of ints is kept as given, as in Lettering
         if type(m) is not tuple or not {*map(type, m)} <= {int}:
-            m = tuple([_integer(v, "vertex") for v in m])
+            m = tuple([_integer(v, "vertex", digits=True) for v in m])
         if sorted(m) != list(range(1, n + 1)):
             raise ValueError("mapping must be a bijection onto vertices 1..n")
         # Read the endpoint pairs, not decoded.edges: the lettering keeps its

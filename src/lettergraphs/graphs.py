@@ -46,11 +46,12 @@ ISOMORPHISM_VERTEX_LIMIT = 12
 _UNSET = object()
 
 
-def _integer(value, what: str, error: type[ValueError] = ValueError) -> int:
-    """value as an int: ints, bools, digit strings and integral numbers
-    such as 2.0 are taken; any other value that int() would change, such
-    as 1.5, raises error instead of being truncated."""
-    if isinstance(value, str):
+def _integer(value, what: str, error: type[ValueError] = ValueError, digits: bool = False) -> int:
+    """value as an int: ints, bools and integral numbers such as 2.0 are
+    taken, and digit strings too where digits is set (letters and vertex
+    mappings take them); any other value, such as 1.5, or "3" without
+    digits, raises error instead of being truncated or compared."""
+    if digits and isinstance(value, str):
         return int(value)
     try:
         i = int(value)
@@ -131,7 +132,7 @@ class Record:
 class Graph(Record):
     """Loopless undirected graph; edges stored as (u, v) pairs with u < v.
     Vertices and the vertex count are ints: integral values such as 2.0
-    are converted, and non-integral ones raise ValueError.
+    are converted, and non-integral ones and strings raise ValueError.
 
     Immutable, and equal and hashed by (n, edges). A graph is held as its
     edge set (this constructor) or as flat endpoint lists (_from_endpoints,

@@ -22,18 +22,19 @@ exactly whether the prefix extends to a lettering. One search on the empty
 prefix decides k. For a feasible k the first witness (the first lettering
 in vertex-then-letter ascending order) is built by a forward-only walk:
 from the accepted prefix's state it moves to the first child state whose
-search passes. The search is exact, so no step is ever undone. completable
-first rejects a prefix that some unplaced vertex sees partly in a class:
-that vertex follows the whole class, so one letter pair fixes its edges to
-all of it. The walk decides that check for each step (v, c) on the parent
-state, before placing anything (steps): the parent passed it, so only the
-class v joins can fail, and it fails iff v and a member of that class
-differ on some other unplaced vertex. Only the steps it keeps are placed
-and searched, and each of those searches gets past the check. A passing
-search records the lettering it reached, and the walk carries it: the
-child it certifies (its smallest unplaced vertex that no unplaced vertex
-precedes, under that vertex's class) is taken without a search once every
-earlier child has failed its own.
+search passes. The search is exact, so no step is ever undone. Before
+placing a step (v, c) the walk checks it forward on the parent state
+(steps): an unplaced vertex follows every member of a class, so one
+letter pair fixes its edges to all of them, and a step that leaves some
+other unplaced vertex seeing the grown class partly is dead. The parent
+has no such class, so only the class v joins can fail, and it fails iff v
+and a member of that class differ on some other unplaced vertex. Only the
+steps it keeps are placed and searched; the search itself would refuse a
+dropped one too, but only after placing it. A passing search records the
+lettering it reached, and the walk carries it: the child it certifies (its
+smallest unplaced vertex that no unplaced vertex precedes, under that
+vertex's class) is taken without a search once every earlier child has
+failed its own.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
 choices that runs no completion search, which there cost more than it saved.
@@ -190,11 +191,12 @@ class _Completion:
         ascending, then c up to the next fresh letter: those that leave no
         other unplaced vertex seeing the grown class cls[c] | 1 << v partly.
 
-        Decided on this state, for a state whose own forward check holds:
-        every unplaced vertex sees each class all or nothing, so it sees
-        class c iff it is adjacent to one member x, and it sees the grown
-        class partly iff x and v differ on it. The other classes are
-        unchanged, so the child's forward check keeps exactly these."""
+        Decided on this state, for a state where every unplaced vertex sees
+        each class all or nothing (the root, and each state reached through
+        steps): such a vertex sees class c iff it is adjacent to one member
+        x, and it sees the grown class partly iff x and v differ on it. The
+        other classes are unchanged, so the child keeps that property
+        exactly for these steps."""
         adj, cls, rest = self.adj, self.cls, self.rest
         unplaced = sum(1 << u for u in rest)
         fresh = min(self.m + 1, self.k)
@@ -243,22 +245,12 @@ class _Completion:
         in both orientations, and a vertex joining a class gains its arcs
         across oriented pairs in one _face step, so cycles prune at once.
 
-        Before searching it checks every unplaced vertex forward: u follows
-        all placed members of a class, so one letter pair decides u's edges
-        to all of them, and a class that u sees partly rejects the prefix.
-        The check is exact and finds nothing on the empty prefix. It stays
-        out of placed, which checks only the vertex it places, so that
-        placing every consistent child reaches exactly the prefixes of a
-        plain DFS; the walk runs it ahead of placed through steps. On
-        success it records the completion the search reached: every
-        vertex's class mask and the closed reach."""
-        adj = self.adj
-        for cm in self.cls:
-            if cm & (cm - 1):
-                for u in self.rest:
-                    seen = adj[u] & cm
-                    if seen and seen != cm:
-                        return False
+        An unplaced vertex that sees a class partly follows every member,
+        so it can neither join that class nor orient the pair against it:
+        the search refuses such a prefix once it places that vertex. The
+        walk refuses it before placing it (steps), so the search runs no
+        check of its own for it. On success it records the completion the
+        search reached: every vertex's class mask and the closed reach."""
         search = self._derived(self.order, self.letters, self.m, self.rest, self.cls[:], self.pair[:], self.reach)
         if not search.place(0, self.m, self.reach):
             return False
@@ -459,9 +451,8 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
 
     Each step is decided on the parent state first: steps keeps only the
     placements (v, c) that leave no other unplaced vertex seeing class c
-    partly, the one part of the child's forward check that can fail, so a
-    step it drops is never placed and every search the walk runs gets past
-    that check.
+    partly, a dead step the search would refuse only after placing it, so
+    a step it drops is never placed or searched.
 
     The walk carries the last completion a search recorded. The child it
     certifies is accepted without a search, once the children before it in

@@ -128,6 +128,8 @@ def test_invalid_lettering_messages():
         (lambda: Lettering([1.5, 2.7], Decoder(2, [(1, 2)])), "letter must be an integer, got 1.5"),
         (lambda: Decoder(2.5), "alphabet size must be an integer, got 2.5"),
         (lambda: Decoder(float("inf")), "alphabet size must be an integer, got inf"),
+        # Letters take digit strings, the alphabet size does not.
+        (lambda: Decoder("2"), "alphabet size must be an integer, got '2'"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidLetteringError) as info:
@@ -404,6 +406,7 @@ def test_verify_lettering_bad_mapping():
     with pytest.raises(ValueError, match="vertex must be an integer, got 1.5"):
         verify_lettering(Lettering((1, 1), Decoder(1, {(1, 1)})), Graph(2, {(1, 2)}), [1.5, 2])
     assert verify_lettering(P7_LETTERING, path_graph(7), [2.0, 1, 5, 4, 3, 7, 6])
+    assert verify_lettering(P7_LETTERING, path_graph(7), ["2", 1, 5, 4, 3, 7, 6])
 
 
 def test_verify_large_path_target_via_recognizer():

@@ -120,8 +120,8 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(-1)
     # Non-integral vertices and vertex counts are rejected, not kept as
-    # floats; integral ones become ints.
-    for n, edges in ((3, [(1.5, 2)]), (3, [(1, 2.5)]), (2.5, []), (float("nan"), [])):
+    # floats, and so are strings; integral numbers become ints.
+    for n, edges in ((3, [(1.5, 2)]), (3, [(1, 2.5)]), (2.5, []), (float("nan"), []), (3, [("1", "2")]), ("3", [])):
         with pytest.raises(ValueError, match="must be an integer"):
             Graph(n, edges)
     g = Graph(3.0, [(1.0, 2), (True, 3)])

@@ -227,8 +227,8 @@ def test_completion_test_is_exact_on_every_visited_prefix():
     # visits, the completion search says whether a full lettering lies
     # below it. Every graph with n <= 5 at every k, then seeded random graphs
     # on 6 and 7 vertices at small k, where classes often hold two members,
-    # so the forward check (an unplaced vertex sees a class all or nothing)
-    # has something to check.
+    # so some prefixes leave an unplaced vertex seeing a class partly, which
+    # the search must refuse without the walk's forward check.
     cases = [(g, k) for n in range(1, 6) for g in all_graphs_up_to_iso(n) for k in range(n + 1)]
     rng = random.Random(19)
     for n, p in ((6, 0.3), (6, 0.5), (6, 0.7), (7, 0.4), (7, 0.6)):
@@ -250,7 +250,7 @@ def test_completion_test_is_exact_on_every_visited_prefix():
 
 
 def _forward_check(state):
-    # completable's first test, spelled out: every unplaced vertex sees
+    # The walk's forward check, spelled out: every unplaced vertex sees
     # each class of two or more members all or nothing.
     adj = state.adj
     return all(adj[u] & cm in (0, cm) for cm in state.cls if cm & (cm - 1) for u in state.rest)
@@ -557,12 +557,12 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
 
 
 def test_walk_completion_searches_are_pinned(monkeypatch):
-    # The root search plus the walk's searches, how many of them get past
-    # the forward check to search at all (place at i = 0), and how many
-    # child states placed builds. Without the carried completion P_9, P_10
-    # and 4K_2 take 27, 32 and 9 searches. Deciding each step on its parent
-    # leaves every search call past the forward check; placing each child
-    # before that check takes 19, 22 and 1 calls and builds 26, 31 and 8.
+    # The root search plus the walk's searches, how many of them search
+    # (place at i = 0), and how many child states placed builds. Without
+    # the carried completion P_9, P_10 and 4K_2 take 27, 32 and 9 searches.
+    # Placing each child before the forward check takes 19, 22 and 1 calls
+    # and builds 26, 31 and 8; deciding each step on its parent places and
+    # searches only the steps that pass it.
     completable, place, placed = solver._Completion.completable, solver._Completion.place, solver._Completion.placed
     calls, searched, built = [], [], []
 

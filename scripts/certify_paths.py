@@ -7,7 +7,7 @@ call certifies the upper bound floor((n+4)/3). For n up to
 --max-exact the exact solver certifies the matching lower bound, so on that
 prefix the formula is confirmed outright. The sweep calls the solver's
 unbounded core, so --max-exact may pass VERTEX_LIMIT: --max-exact 20 prints
-each n's time and takes about 11-14 s (Python 3.11, 2 vCPUs), half of it
+each n's time and takes about 9-12 s (Python 3.11, 2 vCPUs), a fifth of it
 in the one search that rejects k = 7 for P_20.
 """
 

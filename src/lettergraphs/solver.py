@@ -19,9 +19,14 @@ one closure step (_face) per vertex that gains arcs, which refuses a cycle.
 A _Completion state holds a placed prefix in that form: placed extends it
 by one vertex, and completable runs the completion search, which decides
 exactly whether the prefix extends to a lettering. One search on the empty
-prefix decides k. For a feasible k the first witness (the first lettering
-in vertex-then-letter ascending order) is built by a forward-only walk:
-from the accepted prefix's state it moves to the first child state whose
+prefix decides k. That search quotients one symmetry of every graph: a
+word read backwards under the transposed decoder gives the same graph,
+and in class form this mirror keeps the classes and flips every oriented
+pair, so until a pair is oriented the search tries only one orientation of
+the first pair that turns mixed (branch). Orienting a pair steps over its
+smaller class. For a feasible k the first witness (the first lettering in
+vertex-then-letter ascending order) is built by a forward-only walk: from
+the accepted prefix's state it moves to the first child state whose
 search passes. The search is exact, so no step is ever undone. Before
 placing a step (v, c) the walk checks it forward on the parent state
 (steps): an unplaced vertex follows every member of a class, so one
@@ -45,6 +50,7 @@ where an automorphism fixing the placed vertices maps a smaller unplaced
 vertex onto it, since the smaller one's subtree already held the same
 words and was searched first. The decision keeps out of this rule: the search
 already rejects the dead choices, and computing orbits there made it slower.
+Enumeration keeps out of the mirror cut: a reversed word is another witness.
 
 The public entry points check the vertex bound; the private cores
 _first_witness and _lettericity do not, so certification sweeps can run
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 from .core import Decoder, Lettering
 from .errors import CapabilityError
-from .graphs import Graph, Record, extend_isomorphism
+from .graphs import Graph, Record, _integer, extend_isomorphism
 
 # Exhaustive search stays interactive up to this many vertices; full
 # enumeration of witnesses is bounded tighter.
@@ -242,8 +248,9 @@ class _Completion:
         (adjacency decided by which vertex comes first), with an acyclic
         precedence that puts the prefix first, in order. Unplaced vertices
         join a class or the next fresh one, a pair that turns mixed is tried
-        in both orientations, and a vertex joining a class gains its arcs
-        across oriented pairs in one _face step, so cycles prune at once.
+        in both orientations (in one while no pair is oriented: branch), and
+        a vertex joining a class gains its arcs across oriented pairs in one
+        _face step, so cycles prune at once.
 
         An unplaced vertex that sees a class partly follows every member,
         so it can neither join that class nor orient the pair against it:
@@ -275,9 +282,14 @@ class _Completion:
 
     def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
         """Fix class pair (c, b) in the given state: one _face step for each
-        vertex of class c, against all of class b."""
+        vertex of the smaller class, against all of the other. Pair (b, c)
+        holds the flipped state, which adds the same arcs from b's side, so
+        stepping over the smaller class reaches the same closure (or the
+        same refusal) in fewer steps."""
         adj, w, pair, cm, bm = self.adj, self.w, self.pair, self.cls[c], self.cls[b]
         pair[c * w + b], pair[b * w + c] = state, _FIRST + _SECOND - state
+        if bm.bit_count() < cm.bit_count():
+            cm, bm, state = bm, cm, _FIRST + _SECOND - state
         while cm:
             x = (cm & -cm).bit_length() - 1
             early = adj[x] & bm if state == _SECOND else bm & ~adj[x]  # before x
@@ -287,13 +299,21 @@ class _Completion:
         return True
 
     def branch(self, i: int, m: int, mixed: list[tuple[int, int]], reach: list[int]) -> bool:
-        # Both orientations of each class pair that just became mixed.
+        """Both orientations of each class pair that just became mixed,
+        except where reach holds no arc yet. A word read backwards under the
+        transposed decoder gives the same graph; in class form this mirror
+        keeps every class and flat pair, flips every oriented pair and
+        reverses the precedence. A state without arcs is its own mirror, so
+        the subtree under _SECOND for the first mixed pair mirrors the one
+        under _FIRST and holds a completion iff that one does. Only a root
+        search has such states, before its first orientation: a walk state's
+        prefix precedes its unplaced vertices."""
         if not mixed:
             return self.place(i + 1, m, reach)
         c, b = mixed[0]
         w, pair = self.w, self.pair
         saved = pair[c * w + b]
-        for state in (_FIRST, _SECOND):
+        for state in (_FIRST, _SECOND) if any(reach) else (_FIRST,):
             r = reach[:]
             if self.orient(c, b, state, r) and self.branch(i, m, mixed[1:], r):
                 return True
@@ -497,6 +517,7 @@ def is_k_letterable(g: Graph, k: int) -> LetteringWitness | None:
     the smallest letter (letters numbered by first occurrence) that still
     extend to a lettering."""
     _check_graph(g, VERTEX_LIMIT)
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     # No lettering uses more letters than positions. At k = 0 the root
@@ -521,8 +542,11 @@ def enumerate_letterings(g: Graph, k: int, limit: int | None = None) -> Enumerat
     beyond the returned ones exist.
     """
     _check_graph(g, ENUMERATION_VERTEX_LIMIT)
+    k = _integer(k, "k")
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    if limit is not None:
+        limit = _integer(limit, "limit")
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
     return _search(g, k, limit)

@@ -143,6 +143,24 @@ def test_solver_bounds():
         enumerate_letterings(path_graph(3), 2, limit=-1)
 
 
+def test_k_and_limit_must_be_integers():
+    # An integral float is taken as its int; a fraction or a digit string
+    # raises ValueError at the check, not a TypeError from the search.
+    g = path_graph(5)
+    assert is_k_letterable(g, 3.0) == is_k_letterable(g, 3)
+    assert enumerate_letterings(g, 3.0, 2.0) == enumerate_letterings(g, 3, 2)
+    for call in (
+        lambda: is_k_letterable(g, 2.5),
+        lambda: is_k_letterable(g, "3"),
+        lambda: enumerate_letterings(g, 2.5),
+        lambda: enumerate_letterings(g, "3"),
+        lambda: enumerate_letterings(g, 3, 1.5),
+        lambda: enumerate_letterings(g, 3, "1"),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 def test_agrees_with_naive_oracle_up_to_four_vertices():
     for n in range(1, 5):
         for g in all_graphs_up_to_iso(n):
@@ -288,8 +306,10 @@ def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
 
 def test_root_completion_test_decides_k():
     # The empty prefix: the completion search at the root passes iff the
-    # plain DFS reference reaches a full lettering, for k = 0 too.
-    for n in range(1, 6):
+    # plain DFS reference reaches a full lettering, for k = 0 too. Every
+    # graph with n <= 6, since the root search tries one orientation of its
+    # first mixed pair only.
+    for n in range(1, 7):
         for g in all_graphs_up_to_iso(n):
             adj = g.adjacency_masks()
             for k in range(n + 1):
@@ -329,10 +349,11 @@ def _completion_word(g, completion):
     return tuple(order), tuple(letters)
 
 
-def _assert_completion_letters(g, k, state):
-    # The completion that state's search recorded gives a lettering of g
-    # over at most k letters whose word starts with the state's prefix.
-    order, letters = _completion_word(g, state.completion)
+def _assert_completion_letters(g, k, state, completion=None):
+    # The completion that state's search recorded (or the one given) gives a
+    # lettering of g over at most k letters whose word starts with the
+    # state's prefix.
+    order, letters = _completion_word(g, completion or state.completion)
     lettering = Lettering(letters, Decoder(max(letters), _reference_pairs(g, order, letters)))
     assert verify_lettering(lettering, g, order), (g, k, state.order)
     assert lettering.alphabet_size <= k
@@ -340,13 +361,23 @@ def _assert_completion_letters(g, k, state):
     assert (order[:depth], letters[:depth]) == (tuple(state.order), tuple(state.letters))
 
 
+def _transposed(reach):
+    # The precedence read backwards: u comes after v iff v came after u.
+    return [sum(1 << u for u, r in enumerate(reach) if r >> v & 1) for v in range(len(reach))]
+
+
 def test_recorded_completion_is_a_lettering():
+    # A root completion read backwards is a lettering too (the word reversed
+    # under the transposed decoder), the mirror that lets the root search
+    # try one orientation of its first mixed pair.
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             for k in range(n + 1):
                 root = solver._Completion(g.adjacency_masks(), n, k)
                 if root.completable():
                     _assert_completion_letters(g, k, root)
+                    cls, reach = root.completion
+                    _assert_completion_letters(g, k, root, (cls, _transposed(reach)))
                 else:
                     assert root.completion is None
 
@@ -390,6 +421,7 @@ def test_closure_steps_match_a_brute_force_closure():
     # is the transitive closure of all arcs accepted so far.
     rng = random.Random(3)
     outcomes = {True: 0, False: 0}
+    swapped = {True: 0, False: 0}  # orient steps over class b, or over c
     for _ in range(400):
         n, k = rng.randint(2, 12), rng.randint(2, 4)
         adj = [0] * (n + 1)
@@ -424,6 +456,7 @@ def test_closure_steps_match_a_brute_force_closure():
                             x_first = bool(adj[x] >> y & 1) == (state_cb == solver._FIRST)
                             new.add((x, y) if x_first else (y, x))
                 ok = state.orient(c, b, state_cb, reach)
+                swapped[state.cls[b].bit_count() < state.cls[c].bit_count()] += 1
             closed = _closure(n, arcs | new)
             assert ok == all(not closed[u] >> u & 1 for u in range(1, n + 1))
             outcomes[ok] += 1
@@ -433,6 +466,7 @@ def test_closure_steps_match_a_brute_force_closure():
             else:
                 reach = kept
     assert min(outcomes.values()) > 200, outcomes
+    assert min(swapped.values()) > 100, swapped
 
 
 # Witnesses past the benchmark goldens (which stop at P_9, 4K_2 and random
@@ -594,6 +628,26 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
         built.clear()
         assert is_k_letterable(g, 4) is not None
         assert (len(calls), len(searched), len(built)) == expected, g
+
+
+def test_root_refutation_searches_are_pinned(monkeypatch):
+    # Every place call of the one root search that rejects k. Trying both
+    # orientations of the root's first mixed pair took 2,880, 4,200 and 78.
+    place, calls = solver._Completion.place, []
+
+    def counted(state, i, m, reach):
+        calls.append(i)
+        return place(state, i, m, reach)
+
+    monkeypatch.setattr(solver._Completion, "place", counted)
+    for g, k, expected in (
+        (path_graph(14), 5, 1444),
+        (matching_graph(6), 5, 2116),
+        (path_graph(9), 3, 42),
+    ):
+        calls.clear()
+        assert solver._first_witness(g, k) is None
+        assert len(calls) == expected, g
 
 
 def test_enumeration_matches_the_reference_dfs():

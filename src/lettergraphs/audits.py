@@ -20,22 +20,24 @@ from itertools import product
 
 from .core import Lettering, decode
 from .errors import CapabilityError
-from .graphs import Record, matching_graph
+from .graphs import Record, _integer, matching_graph
 from .solver import enumerate_letterings
 
 # Census and audit enumerate everything; kept small by contract.
 AUDIT_MAX_PAIRS = 3
 
 
-def _check_pairs(r: int, subject: str) -> None:
-    """The checks on r shared by the audits on rK_2; subject starts the
-    bound's message."""
+def _check_pairs(r: int, subject: str) -> int:
+    """r as an int, after the checks shared by the audits on rK_2; subject
+    starts the bound's message."""
+    r = _integer(r, "r")
     if r < 1:  # a domain error (exit 1), checked before the bound (exit 2)
         raise ValueError(f"a matching needs at least one pair, got r={r}")
     if r > AUDIT_MAX_PAIRS:
         raise CapabilityError(
             f"{subject} enumeration-bounded at r <= {AUDIT_MAX_PAIRS}, got {r}"
         )
+    return r
 
 
 def check_betweenness(lettering: Lettering) -> list[tuple[int, int, int]]:
@@ -84,7 +86,7 @@ class MatchingAuditReport(Record):
 def audit_matching_letterings(r: int, k: int) -> MatchingAuditReport:
     """Enumerate every lettering of rK_2 with alphabet exactly k and
     summarize letter multiplicities and edge pairing."""
-    _check_pairs(r, "matching audits are")
+    r, k = _check_pairs(r, "matching audits are"), _integer(k, "k")
     if k < r:
         raise ValueError(f"an r-edge matching needs at least r letters, got k={k}")
     if k > 2 * r:
@@ -169,7 +171,7 @@ def _is_canonical(word: tuple[int, ...]) -> bool:
 def matching_word_census(r: int) -> WordCensus:
     """Brute-force count of words of length 2r over {1..r} that decode to a
     perfect matching for some decoder. Independent of the solver."""
-    _check_pairs(r, "word census is")
+    r = _check_pairs(r, "word census is")
     matchings = list(_perfect_matchings(tuple(range(1, 2 * r + 1))))
     fixed = 0
     canonical = 0

@@ -169,7 +169,7 @@ def decode(lettering: Lettering) -> Graph:
 def subword(word: Word, positions) -> Word:
     """Letters at the given positions (1-based), kept in position order."""
     w = tuple(word)
-    ps = sorted(positions)
+    ps = sorted(_integer(p, "position") for p in positions)
     for i in range(1, len(ps)):
         if ps[i] == ps[i - 1]:
             raise ValueError(f"duplicate position {ps[i]}")
@@ -181,6 +181,7 @@ def subword(word: Word, positions) -> Word:
 
 def letter_occurrences(lettering: Lettering, a: int) -> frozenset[int]:
     """Positions of letter a in the word (possibly empty)."""
+    a = _letter(a)
     if not 1 <= a <= lettering.decoder.alphabet_size:
         raise InvalidLetteringError(
             f"letter {a} outside alphabet 1..{lettering.decoder.alphabet_size}"

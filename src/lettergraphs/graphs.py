@@ -254,6 +254,10 @@ class Graph(Record):
         return masks
 
     def degree(self, v: int) -> int:
+        if type(v) is not int:
+            v = _integer(v, "vertex")
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
         deg = self._degrees
         if deg is None:
             deg = self._degrees_and_xors()[0]
@@ -316,6 +320,8 @@ def _walk_shape(g: Graph) -> tuple | None:
 
 def path_graph(n: int) -> Graph:
     """P_n: vertices 1..n in path order, edges {i, i+1}."""
+    if type(n) is not int:
+        n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
     return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)), _path_shape(n))
@@ -323,6 +329,8 @@ def path_graph(n: int) -> Graph:
 
 def matching_graph(r: int) -> Graph:
     """rK_2: r disjoint edges {2i-1, 2i} on vertices 1..2r."""
+    if type(r) is not int:
+        r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"matching needs at least one edge, got r={r}")
     return Graph._from_endpoints(
@@ -382,7 +390,7 @@ def is_matching(g: Graph) -> bool:
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced by the given vertex set, relabelled 1..|S| by rank."""
-    vs = sorted(set(vertices))
+    vs = sorted({_integer(v, "vertex") for v in vertices})
     for v in vs:
         if not 1 <= v <= g.n:
             raise ValueError(f"vertex {v} outside 1..{g.n}")

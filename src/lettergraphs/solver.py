@@ -133,10 +133,9 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
     return skips
 
 
-# Pair states in _Completion for an ordered pair of classes (a, b): no
-# cross pair seen yet, all non-edges so far, all edges so far, or oriented:
+# Orientations of a class pair (a, b) in _Completion.pair, 0 until it has one:
 # x in a ~ y in b iff x comes first (_FIRST) or iff y comes first (_SECOND).
-_UNSEEN, _NONEDGE, _EDGE, _FIRST, _SECOND = range(5)
+_FIRST, _SECOND = 1, 2
 
 
 def _face(reach: list[int], x: int, pre: int, post: int) -> bool:
@@ -164,11 +163,14 @@ class _Completion:
     """A placed prefix in class form: vertex order[i] at position i+1 with
     letter letters[i], m the largest letter, rest the unplaced vertices
     (ascending), cls[c] the vertex mask of class c, pair[a * w + b] the
-    state of class pair (a, b), and reach[u] the closed mask of vertices
-    after u, grown by _face steps. A built state is never changed: placed
-    returns a new one and the search works on copies. It forms no cycle.
-    completion is (cls, reach) of a lettering that extends the prefix, once
-    a completion search on it (or the walk) has recorded one, else None."""
+    orientation of class pair (a, b) or 0, and reach[u] the closed mask of
+    vertices after u, grown by _face steps. A pair is oriented the moment it
+    turns mixed, so an unoriented pair of nonempty classes is flat: all
+    members of one see the other alike, all of it or none. A built state is
+    never changed: placed returns a new one and the search works on copies.
+    It forms no cycle. completion is (cls, reach) of a lettering that extends
+    the prefix, once a completion search on it (or the walk) has recorded
+    one, else None."""
 
     completion = None
 
@@ -177,7 +179,7 @@ class _Completion:
         self.order, self.letters, self.m = [], [], 0
         self.rest = list(range(1, n + 1))
         self.cls = [0] * (k + 1)
-        self.pair = [_UNSEEN] * (k + 1) ** 2
+        self.pair = [0] * (k + 1) ** 2
         self.reach = [0] * (n + 1)
 
     def _derived(self, order, letters, m: int, rest, cls, pair, reach) -> _Completion:
@@ -215,15 +217,17 @@ class _Completion:
 
     def placed(self, v: int, c: int) -> _Completion | None:
         """A copy with v placed next under letter c, or None if that breaks
-        a class or a class pair. v follows every placed vertex, so a class
-        pair that v does not keep complete or empty fits only one orientation:
-        _SECOND if v is adjacent to the other class, else _FIRST. The checks
-        see placed vertices only, so they just read reach."""
+        a class or a class pair. v follows every placed vertex, so an oriented
+        pair, or a flat one that v sees unlike a member of its class does,
+        fits only one orientation: _SECOND if v is adjacent to the other
+        class, else _FIRST. The checks see placed vertices only, so they just
+        read reach."""
         adj, w = self.adj, self.w
         av, cm = adj[v], self.cls[c]
         if any(av & bm not in (0, bm) for bm in self.cls):
             return None  # v sees each class all or nothing,
-        if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(av & cm):
+        ax = adj[(cm & -cm).bit_length() - 1] if cm else av  # a member's row
+        if cm & (cm - 1) and bool(ax & cm) != bool(av & cm):
             return None  # and joins its own as a clique or independent set
         cls, pair, reach = self.cls[:], self.pair[:], self.reach[:]
         rest = [u for u in self.rest if u != v]
@@ -232,11 +236,9 @@ class _Completion:
         for b in range(1, self.m + 1):
             if b == c:
                 continue
-            flat, fit = (_EDGE, _SECOND) if av & cls[b] else (_NONEDGE, _FIRST)
-            state = pair[c * w + b]
-            if state in (_UNSEEN, flat):
-                pair[c * w + b] = pair[b * w + c] = flat
-            elif state != fit and not new.orient(c, b, fit, reach):
+            bm, state = cls[b], pair[c * w + b]
+            fit = _SECOND if av & bm else _FIRST
+            if state != fit and (state or (ax ^ av) & bm) and not new.orient(c, b, fit, reach):
                 return None
         reach[v] = sum(1 << u for u in rest)  # v precedes every unplaced vertex
         return new
@@ -311,13 +313,11 @@ class _Completion:
         if not mixed:
             return self.place(i + 1, m, reach)
         c, b = mixed[0]
-        w, pair = self.w, self.pair
-        saved = pair[c * w + b]
         for state in (_FIRST, _SECOND) if any(reach) else (_FIRST,):
             r = reach[:]
             if self.orient(c, b, state, r) and self.branch(i, m, mixed[1:], r):
                 return True
-        pair[c * w + b] = pair[b * w + c] = saved
+        self.pair[c * self.w + b] = self.pair[b * self.w + c] = 0
         return False
 
     def place(self, i: int, m: int, reach: list[int]) -> bool:
@@ -332,32 +332,29 @@ class _Completion:
             inside = av & cm
             if inside and inside != cm:
                 continue  # a class is a clique or an independent set,
-            if cm & (cm - 1) and bool(adj[(cm & -cm).bit_length() - 1] & cm) != bool(inside):
+            ax = adj[(cm & -cm).bit_length() - 1] if cm else av  # a member's row
+            if cm & (cm - 1) and bool(ax & cm) != bool(inside):
                 continue  # and v must join it as one
-            # pre and post: the vertices before and after v across oriented pairs.
-            mixed, seen, pre, post = [], [], 0, 0
+            # pre and post: the vertices before and after v across oriented
+            # pairs; mixed: the flat pairs v breaks.
+            mixed, pre, post = [], 0, 0
             for b in range(1, m + 1):
                 bm = cls[b]
                 if b == c or not bm:
                     continue
                 nbrs = av & bm
                 state = pair[c * w + b]
-                if state >= _FIRST:
+                if state:
                     early = nbrs if state == _SECOND else bm ^ nbrs
                     pre, post = pre | early, post | bm ^ early
-                elif (nbrs and nbrs != bm) or state == (_NONEDGE if nbrs else _EDGE):
+                elif (ax ^ av) & bm or (nbrs and nbrs != bm):
                     mixed.append((c, b))
-                elif state == _UNSEEN:
-                    pair[c * w + b] = pair[b * w + c] = _EDGE if nbrs else _NONEDGE
-                    seen.append(b)
             r = reach[:] if pre | post else reach  # only a step that writes copies
             if r is reach or _face(r, v, pre, post):
                 cls[c] = cm | 1 << v
                 if self.branch(i, max(m, c), mixed, r):
                     return True
                 cls[c] = cm
-            for b in seen:
-                pair[c * w + b] = pair[b * w + c] = _UNSEEN
         return False
 
 

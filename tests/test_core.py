@@ -358,6 +358,18 @@ def test_letter_occurrences():
         letter_occurrences(P7_LETTERING, 4)
 
 
+def test_letter_occurrences_and_subword_check_their_arguments():
+    # A letter is read as letters are (digit strings too), and a position as
+    # an integer; anything else raises instead of matching nothing.
+    assert letter_occurrences(P7_LETTERING, "1") == letter_occurrences(P7_LETTERING, 1.0) == {2, 5}
+    with pytest.raises(InvalidLetteringError, match="must be an integer"):
+        letter_occurrences(P7_LETTERING, 1.5)
+    assert subword(P7_LETTERING.word, [3.0, 1]) == (2, 3)
+    for positions in ([2.5], ["2"]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            subword(P7_LETTERING.word, positions)
+
+
 @given(letterings())
 def test_same_letter_positions_form_clique_or_anticlique(lt):
     g = decode(lt)

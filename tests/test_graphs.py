@@ -330,6 +330,26 @@ def test_induced_subgraph_relabels_by_rank():
         induced_subgraph(g, {8})
 
 
+def test_induced_subgraph_takes_integral_vertices_only():
+    # An integral float is its vertex; a fraction or a string raises instead
+    # of being dropped or compared.
+    g = path_graph(4)
+    assert induced_subgraph(g, [1.0, 2]) == induced_subgraph(g, [1, 2]) == path_graph(2)
+    for vertices in ([1.5, 2], ["1", 2]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            induced_subgraph(g, vertices)
+
+
+def test_degree_answers_only_for_vertices():
+    g = path_graph(3)
+    assert [g.degree(v) for v in (1, 2, 3, 2.0)] == [1, 2, 1, 2]
+    for v in (-1, 0, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            g.degree(v)
+    with pytest.raises(ValueError, match="must be an integer"):
+        g.degree(1.5)
+
+
 def test_induced_subgraph_matches_direct_filter():
     rng = random.Random(7)
     g = Graph(

@@ -13,13 +13,18 @@ from lettergraphs import (
     EnumerationResult,
     Graph,
     Lettering,
+    audit_matching_letterings,
     decode,
     enumerate_letterings,
     is_k_letterable,
     lettericity_exact,
+    matching_base_lettering,
+    matching_canonical_lettering,
     matching_graph,
+    matching_word_census,
     path_graph,
     path_lettericity,
+    path_lettering,
     solver,
     verify_lettering,
 )
@@ -159,6 +164,26 @@ def test_k_and_limit_must_be_integers():
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
+
+
+def test_sizes_must_be_integers():
+    # The builders, closed forms and audits take an integral float as its
+    # int, and raise ValueError for a fraction or a string instead of
+    # truncating it or failing in range.
+    for f, size in (
+        (path_lettericity, 7),
+        (path_graph, 3),
+        (path_lettering, 7),
+        (matching_graph, 2),
+        (matching_base_lettering, 2),
+        (matching_canonical_lettering, 2),
+        (matching_word_census, 2),
+        (lambda r: audit_matching_letterings(r, 2), 2),
+    ):
+        assert f(float(size)) == f(size)
+        for bad in (size + 0.5, str(size)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                f(bad)
 
 
 def test_agrees_with_naive_oracle_up_to_four_vertices():
@@ -320,8 +345,17 @@ def test_root_completion_test_decides_k():
 def test_placement_reaches_the_reference_prefixes():
     # Placing one vertex at a time from the empty state, vertices and then
     # letters ascending, reaches exactly the prefixes the plain DFS
-    # reference reaches, in the same order.
+    # reference reaches, in the same order. Every unoriented pair of
+    # nonempty classes in each state is flat: all members of one class see
+    # the other alike, all of it or none of it.
     def reached(state):
+        cls, w = state.cls, state.w
+        assert all(
+            {state.adj[x] & bm for x in range(1, state.n + 1) if am >> x & 1} in ({0}, {bm})
+            for a, am in enumerate(cls)
+            for b, bm in enumerate(cls)
+            if a != b and am and bm and not state.pair[a * w + b]
+        ), (state.adj, state.k, state.order, state.letters)
         yield tuple(state.order), tuple(state.letters)
         for child in _children(state):
             yield from reached(child)

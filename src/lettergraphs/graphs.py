@@ -253,11 +253,16 @@ class Graph(Record):
             object.__setattr__(self, "_adjacency", masks)
         return masks
 
-    def degree(self, v: int) -> int:
+    def _vertex(self, v) -> int:
+        """v as a vertex: an integer in 1..n, else ValueError."""
         if type(v) is not int:
             v = _integer(v, "vertex")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
+        return v
+
+    def degree(self, v: int) -> int:
+        v = self._vertex(v)
         deg = self._degrees
         if deg is None:
             deg = self._degrees_and_xors()[0]
@@ -265,6 +270,7 @@ class Graph(Record):
         return deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = self._vertex(u), self._vertex(v)
         return (min(u, v), max(u, v)) in self.edges
 
 

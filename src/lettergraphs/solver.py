@@ -10,42 +10,36 @@ quotients away alphabet relabelling from both decision and enumeration.
 Candidate vertices are tried in ascending label order and letters in
 ascending order, so every reported result is deterministic.
 
-The decision (is_k_letterable, and so lettericity_exact) works in
-Petkovsek's structural view of letter graphs: letter classes that are
-cliques or independent sets, class pairs that are complete, empty or
-ordered one way, and an acyclic precedence. The precedence is kept
-transitively closed, one mask of later vertices per vertex, and grows by
-one closure step (_face) per vertex that gains arcs, which refuses a cycle.
-A _Completion state holds a placed prefix in that form: placed extends it
-by one vertex, and completable runs the completion search, which decides
-exactly whether the prefix extends to a lettering. One search on the empty
-prefix decides k. That search quotients one symmetry of every graph: a
-word read backwards under the transposed decoder gives the same graph,
-and in class form this mirror keeps the classes and flips every oriented
-pair, so until a pair is oriented the search tries only one orientation of
-the first pair that turns mixed (branch). Orienting a pair steps over its
-smaller class. For a feasible k the first witness (the first lettering in
-vertex-then-letter ascending order) is built by a forward-only walk: from
-the accepted prefix's state it moves to the first child state whose
-search passes. The search is exact, so no step is ever undone. Before
-placing a step (v, c) the walk checks it forward on the parent state
-(steps): an unplaced vertex follows every member of a class, so one
-letter pair fixes its edges to all of them, and a step that leaves some
-other unplaced vertex seeing the grown class partly is dead. The parent
-has no such class, so only the class v joins can fail, and it fails iff v
-and a member of that class differ on some other unplaced vertex. Only the
-steps it keeps are placed and searched; the search itself would refuse a
-dropped one too, but only after placing it. A passing search records the
-lettering it reached, and the walk carries it: the child it certifies (its
-smallest unplaced vertex that no unplaced vertex precedes, under that
-vertex's class) is taken without a search once every earlier child has
-failed its own.
+Both engines keep a prefix one way, as its letter classes and two bitmasks
+per letter (the earlier letters it pairs with, and those of them that pair
+as edges), and extend it by one rule, _placements.
+
+The decision (is_k_letterable, and so lettericity_exact) asks whether a
+prefix extends in Petkovsek's structural view of letter graphs: letter
+classes that are cliques or independent sets, class pairs that are
+complete, empty or ordered one way, and an acyclic precedence, kept
+transitively closed and grown by one closure step (_face) per vertex that
+gains arcs, which refuses a cycle. That class form (_Completion) exists
+only inside a completion search, which decides exactly whether its prefix
+extends to a lettering. One search on the empty prefix decides k. It
+quotients one symmetry of every graph: a word read backwards under the
+transposed decoder gives the same graph, and in class form this mirror
+keeps the classes and flips every oriented pair, so until a pair is
+oriented the search tries one orientation of the first pair that turns
+mixed (branch). For a feasible k the first witness (the first lettering
+in vertex-then-letter ascending order) is built by a forward-only walk
+that extends the accepted prefix by its first placement whose search
+passes; the search is exact, so no step is ever undone. The walk first
+drops each placement that leaves some other unplaced vertex seeing the
+grown class partly (_steps), since an unplaced vertex follows every member
+of a class; such a prefix is never built or searched. A passing search
+records the lettering it reached, and the placement that lettering
+certifies (_certified) is taken without a search once every earlier one
+has failed its own.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
-choices that runs no completion search, which there cost more than it saved.
-It keeps the letter pairs the prefix realizes as two bitmasks per letter,
-the earlier letters it pairs with and those of them that pair as edges. In
-place of that search it skips automorphic siblings: a vertex is not tried
+placements that runs no completion search, which there cost more than it
+saved. In its place it skips automorphic siblings: a vertex is not tried
 where an automorphism fixing the placed vertices maps a smaller unplaced
 vertex onto it, since the smaller one's subtree already held the same
 words and was searched first. The decision keeps out of this rule: the search
@@ -133,6 +127,33 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
     return skips
 
 
+def _placements(adj, k: int, m: int, candidates: int, group, known, edge):
+    """The consistent placements (v, c, seen) after a prefix over letters
+    1..m: v ascending in the mask candidates, then c up to the next fresh
+    letter. group[c] is class c's vertex mask; bit a of known[c] (edge[c])
+    says the prefix realizes letter pair (a, c), a first (as an edge). v
+    sees each class all or nothing, those in the mask seen in full, and
+    agrees with every pair (a, c) known; placing it sets known[c] to letters
+    1..m and edge[c] to seen, exactly: known[c] held no letter past m, and
+    seen agrees with edge[c] on it. Lists changed between yields must be
+    restored before the next."""
+    while candidates:
+        v = (candidates & -candidates).bit_length() - 1
+        candidates &= candidates - 1
+        av = adj[v]
+        seen = 0
+        for a in range(1, m + 1):
+            inside = av & group[a]
+            if inside == group[a]:
+                seen |= 1 << a
+            elif inside:
+                break
+        else:
+            for c in range(1, min(m + 1, k) + 1):
+                if not (edge[c] ^ seen) & known[c]:
+                    yield v, c, seen  # else a pair (a, c) was realized the other way
+
+
 # Orientations of a class pair (a, b) in _Completion.pair, 0 until it has one:
 # x in a ~ y in b iff x comes first (_FIRST) or iff y comes first (_SECOND).
 _FIRST, _SECOND = 1, 2
@@ -160,88 +181,23 @@ def _face(reach: list[int], x: int, pre: int, post: int) -> bool:
 
 
 class _Completion:
-    """A placed prefix in class form: vertex order[i] at position i+1 with
-    letter letters[i], m the largest letter, rest the unplaced vertices
-    (ascending), cls[c] the vertex mask of class c, pair[a * w + b] the
-    orientation of class pair (a, b) or 0, and reach[u] the closed mask of
-    vertices after u, grown by _face steps. A pair is oriented the moment it
-    turns mixed, so an unoriented pair of nonempty classes is flat: all
-    members of one see the other alike, all of it or none. A built state is
-    never changed: placed returns a new one and the search works on copies.
-    It forms no cycle. completion is (cls, reach) of a lettering that extends
-    the prefix, once a completion search on it (or the walk) has recorded
-    one, else None."""
+    """A prefix in class form for one completion search: m nonempty classes,
+    rest the unplaced vertices (ascending), cls[c] the vertex mask of class
+    c, pair[a * w + b] the orientation of class pair (a, b) or 0, and
+    reach[u] the closed mask of vertices after u. A pair is oriented the
+    moment it turns mixed, so an unoriented pair of nonempty classes is
+    flat: all members of one see the other alike, all of it or none. The
+    constructor gives the empty prefix; _prefix_state any other. completion
+    is (cls, reach) of a lettering completable found, else None."""
 
     completion = None
 
     def __init__(self, adj, n: int, k: int):
-        self.adj, self.n, self.k, self.w = adj, n, k, k + 1
-        self.order, self.letters, self.m = [], [], 0
+        self.adj, self.k, self.w, self.m = adj, k, k + 1, 0
         self.rest = list(range(1, n + 1))
         self.cls = [0] * (k + 1)
         self.pair = [0] * (k + 1) ** 2
         self.reach = [0] * (n + 1)
-
-    def _derived(self, order, letters, m: int, rest, cls, pair, reach) -> _Completion:
-        """A state of the same graph and k holding the given lists, built
-        without the constructor, whose empty lists would be thrown away.
-        The attributes are set in the constructor's order, so the instance
-        keeps the class's shared attribute layout, which a copy.copy
-        instance loses (its attributes are then looked up more slowly)."""
-        new = _Completion.__new__(_Completion)
-        new.adj, new.n, new.k, new.w = self.adj, self.n, self.k, self.w
-        new.order, new.letters, new.m = order, letters, m
-        new.rest, new.cls, new.pair, new.reach = rest, cls, pair, reach
-        return new
-
-    def steps(self):
-        """The next placements (v, c) that the forward check keeps, v
-        ascending, then c up to the next fresh letter: those that leave no
-        other unplaced vertex seeing the grown class cls[c] | 1 << v partly.
-
-        Decided on this state, for a state where every unplaced vertex sees
-        each class all or nothing (the root, and each state reached through
-        steps): such a vertex sees class c iff it is adjacent to one member
-        x, and it sees the grown class partly iff x and v differ on it. The
-        other classes are unchanged, so the child keeps that property
-        exactly for these steps."""
-        adj, cls, rest = self.adj, self.cls, self.rest
-        unplaced = sum(1 << u for u in rest)
-        fresh = min(self.m + 1, self.k)
-        for v in rest:
-            av, others = adj[v], unplaced ^ 1 << v
-            for c in range(1, fresh + 1):
-                cm = cls[c]
-                if not cm or not (adj[(cm & -cm).bit_length() - 1] ^ av) & others:
-                    yield v, c
-
-    def placed(self, v: int, c: int) -> _Completion | None:
-        """A copy with v placed next under letter c, or None if that breaks
-        a class or a class pair. v follows every placed vertex, so an oriented
-        pair, or a flat one that v sees unlike a member of its class does,
-        fits only one orientation: _SECOND if v is adjacent to the other
-        class, else _FIRST. The checks see placed vertices only, so they just
-        read reach."""
-        adj, w = self.adj, self.w
-        av, cm = adj[v], self.cls[c]
-        if any(av & bm not in (0, bm) for bm in self.cls):
-            return None  # v sees each class all or nothing,
-        ax = adj[(cm & -cm).bit_length() - 1] if cm else av  # a member's row
-        if cm & (cm - 1) and bool(ax & cm) != bool(av & cm):
-            return None  # and joins its own as a clique or independent set
-        cls, pair, reach = self.cls[:], self.pair[:], self.reach[:]
-        rest = [u for u in self.rest if u != v]
-        new = self._derived(self.order + [v], self.letters + [c], max(self.m, c), rest, cls, pair, reach)
-        cls[c] = cm | 1 << v
-        for b in range(1, self.m + 1):
-            if b == c:
-                continue
-            bm, state = cls[b], pair[c * w + b]
-            fit = _SECOND if av & bm else _FIRST
-            if state != fit and (state or (ax ^ av) & bm) and not new.orient(c, b, fit, reach):
-                return None
-        reach[v] = sum(1 << u for u in rest)  # v precedes every unplaced vertex
-        return new
 
     def completable(self) -> bool:
         """Whether the prefix extends to a lettering over at most k letters:
@@ -252,35 +208,17 @@ class _Completion:
         join a class or the next fresh one, a pair that turns mixed is tried
         in both orientations (in one while no pair is oriented: branch), and
         a vertex joining a class gains its arcs across oriented pairs in one
-        _face step, so cycles prune at once.
+        _face step, so cycles prune at once. A prefix that leaves an unplaced
+        vertex seeing a class partly is refused once that vertex is placed;
+        the walk drops it earlier (_steps), so the search adds no check.
 
-        An unplaced vertex that sees a class partly follows every member,
-        so it can neither join that class nor orient the pair against it:
-        the search refuses such a prefix once it places that vertex. The
-        walk refuses it before placing it (steps), so the search runs no
-        check of its own for it. On success it records the completion the
-        search reached: every vertex's class mask and the closed reach."""
-        search = self._derived(self.order, self.letters, self.m, self.rest, self.cls[:], self.pair[:], self.reach)
-        if not search.place(0, self.m, self.reach):
+        It works on this state in place: a failing search leaves it as it
+        was, and a passing one leaves the completion it reached in cls and
+        reach and records it."""
+        if not self.place(0, self.m, self.reach):
             return False
-        self.completion = search.cls, search.reach
+        self.completion = self.cls, self.reach
         return True
-
-    def certified(self) -> tuple[int, int] | None:
-        """The placement (v, c) that the recorded completion certifies, or
-        None without one. v is the smallest unplaced vertex that no unplaced
-        vertex precedes there, so some linear extension of its precedence
-        places v next; c is the letter whose placed members lie in v's class
-        there, or the fresh letter m + 1 if that class has none yet."""
-        if self.completion is None:
-            return None
-        cls, reach = self.completion
-        later = 0
-        for u in self.rest:
-            later |= reach[u]
-        v = next(u for u in self.rest if not later >> u & 1)
-        cv = next(cm for cm in cls if cm >> v & 1)
-        return v, next((a for a in range(1, self.m + 1) if self.cls[a] & cv), self.m + 1)
 
     def orient(self, c: int, b: int, state: int, reach: list[int]) -> bool:
         """Fix class pair (c, b) in the given state: one _face step for each
@@ -308,7 +246,7 @@ class _Completion:
         reverses the precedence. A state without arcs is its own mirror, so
         the subtree under _SECOND for the first mixed pair mirrors the one
         under _FIRST and holds a completion iff that one does. Only a root
-        search has such states, before its first orientation: a walk state's
+        search has such states, before its first orientation: a nonempty
         prefix precedes its unplaced vertices."""
         if not mixed:
             return self.place(i + 1, m, reach)
@@ -358,6 +296,28 @@ class _Completion:
         return False
 
 
+def _prefix_state(adj, n: int, k: int, order, group, known, edge) -> _Completion:
+    """The _Completion of a prefix kept as _placements keeps it, vertex
+    order[i] at position i+1. Its precedence is the prefix order, already
+    closed: reach[order[i]] holds the later prefix and every unplaced vertex.
+    Pair (c, b) is oriented iff the prefix realizes it both ways and
+    differently: _SECOND if letter pair (b, c) is an edge, else _FIRST."""
+    state = _Completion(adj, n, k)
+    w, pair, reach = state.w, state.pair, state.reach
+    state.cls[:] = group
+    state.m = m = sum(1 for cm in group if cm)
+    later = (2 << n) - 2 - sum(1 << v for v in order)  # the unplaced vertices
+    state.rest = [u for u in state.rest if later >> u & 1]
+    for v in reversed(order):
+        reach[v] = later
+        later |= 1 << v
+    for c in range(1, m + 1):
+        for b in range(1, m + 1):
+            if known[c] >> b & known[b] >> c & (edge[c] >> b ^ edge[b] >> c) & 1:
+                pair[c * w + b] = _SECOND if edge[c] >> b & 1 else _FIRST
+    return state
+
+
 def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
     """enumerate_letterings without its checks: a backtracking DFS over
     every assignment with exactly k letters, keeping the first witness of
@@ -372,13 +332,9 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
     only, and not at all below a placed set whose stabilizer is trivial."""
     n = g.n
     adj = g.adjacency_masks()
-    order = [0] * n
-    letters = [0] * n
-    group = [0] * (k + 1)  # letter -> bitmask of vertices carrying it
-    # Bit a of known[c]: the prefix realizes the letter pair (a, c), with a
-    # at the earlier position; bit a of edge[c]: it realizes it as an edge.
-    known = [0] * (k + 1)
-    edge = [0] * (k + 1)
+    vertices = (2 << n) - 2
+    order, letters = [0] * n, [0] * n
+    group, known, edge = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
     skips_of: dict[int, int] = {}  # placed mask -> _orbit_skips
     by_word: dict[tuple[int, ...], LetteringWitness] = {}
     decoders: dict = {}
@@ -406,36 +362,18 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
             # A child's stabilizer is a subgroup of this one.
             symmetric = skips != 0
         earlier = (2 << used) - 2  # letters 1..used
-        for v in range(1, n + 1):
-            if skip >> v & 1:
-                continue
-            av = adj[v]
-            # seen: the letter classes v sees in full; it must see each
-            # class all or nothing.
-            seen = 0
-            for a in range(1, used + 1):
-                inside = av & group[a]
-                if inside == group[a]:
-                    seen |= 1 << a
-                elif inside:
-                    break
-            else:
-                vbit = 1 << v
-                for c in range(1, min(used + 1, k) + 1):
-                    if (edge[c] ^ seen) & known[c]:
-                        continue  # a pair (a, c) realized the other way before
-                    # Exact, not a merge: known[c] only holds letters up to
-                    # used, and those bits of seen were just checked to agree.
-                    saved = known[c], edge[c]
-                    known[c], edge[c] = earlier, seen
-                    order[depth] = v
-                    letters[depth] = c
-                    group[c] |= vbit
-                    keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
-                    group[c] &= ~vbit
-                    known[c], edge[c] = saved
-                    if not keep_going:
-                        return False
+        for v, c, seen in _placements(adj, k, used, vertices & ~skip, group, known, edge):
+            vbit = 1 << v
+            saved = known[c], edge[c]
+            known[c], edge[c] = earlier, seen
+            order[depth] = v
+            letters[depth] = c
+            group[c] |= vbit
+            keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
+            group[c] &= ~vbit
+            known[c], edge[c] = saved
+            if not keep_going:
+                return False
         return True
 
     try:
@@ -456,46 +394,78 @@ def _check_graph(g: Graph, limit: int) -> None:
     _check_size(g.n, limit)
 
 
+def _steps(adj, k: int, m: int, unplaced: int, group, known, edge):
+    """The walk's forward check on _placements: those that leave no other
+    unplaced vertex seeing the grown class group[c] | 1 << v partly. On a
+    prefix whose unplaced vertices see each class all or nothing (the empty
+    one, and each _steps extends), such a vertex sees that class partly iff
+    it tells v from a member x, and the other classes are unchanged."""
+    for v, c, seen in _placements(adj, k, m, unplaced, group, known, edge):
+        cm = group[c]
+        if not cm or not (adj[(cm & -cm).bit_length() - 1] ^ adj[v]) & (unplaced ^ 1 << v):
+            yield v, c, seen
+
+
+def _certified(completion, unplaced: int, group, m: int) -> tuple[int, int] | None:
+    """The placement (v, c) after a prefix (classes group, letters 1..m)
+    that a completion (cls, reach) of it certifies, or None without one: v
+    the smallest unplaced vertex no unplaced one precedes there, c the letter
+    whose members share its class there, or m + 1 if none does."""
+    if completion is None:
+        return None
+    cls, reach = completion
+    later, rest = 0, unplaced
+    while rest:
+        later |= reach[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+    first = unplaced & ~later
+    v = (first & -first).bit_length() - 1
+    cv = next(cm for cm in cls if cm >> v & 1)
+    return v, next((a for a in range(1, m + 1) if group[a] & cv), m + 1)
+
+
 def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     """is_k_letterable without the vertex bound, for 0 <= k <= g.n.
 
     The first witness is the first lettering in vertex-then-letter
     ascending order, the one a depth-first search over those choices
     reaches first. One completion search on the empty prefix decides k.
-    For a feasible k the walk keeps the accepted prefix's state and moves
-    to its first child whose completion search passes, never back: the
-    search is exact, so that child extends and no earlier one did.
-
-    Each step is decided on the parent state first: steps keeps only the
-    placements (v, c) that leave no other unplaced vertex seeing class c
-    partly, a dead step the search would refuse only after placing it, so
-    a step it drops is never placed or searched.
-
-    The walk carries the last completion a search recorded. The child it
-    certifies is accepted without a search, once the children before it in
-    vertex-then-letter order have failed theirs; a child that passes carries
-    its own completion from then on. A state without one tests every child."""
-    adj = g.adjacency_masks()
-    state = _Completion(adj, g.n, k)
-    if not state.completable():
+    For a feasible k the walk keeps the accepted prefix as _search does
+    and extends it by its first placement that passes _steps and then a
+    completion search on a class form built for it; the search is exact,
+    so that child extends and no earlier one did. The walk carries the
+    last completion a search recorded: the placement it certifies is taken
+    without a search once those before it have failed theirs."""
+    n, adj = g.n, g.adjacency_masks()
+    root = _Completion(adj, n, k)
+    if not root.completable():
         return None  # one exact search at the root decides an infeasible k
-    for _ in range(g.n):
-        sure = state.certified()
-        for step in state.steps():
-            child = state.placed(*step)
-            if child is None:
-                continue
-            if step == sure:
-                child.completion = state.completion  # it extends to that lettering
+    completion = root.completion
+    order, letters, m, unplaced = [], [], 0, (2 << n) - 2
+    group, known, edge = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
+    while unplaced:
+        sure = _certified(completion, unplaced, group, m)
+        for v, c, seen in _steps(adj, k, m, unplaced, group, known, edge):
+            saved = known[c], edge[c]
+            known[c], edge[c] = (2 << m) - 2, seen
+            group[c] |= 1 << v
+            order.append(v)
+            if (v, c) == sure:
+                break  # it extends to the carried completion
+            state = _prefix_state(adj, n, k, order, group, known, edge)
+            if state.completable():
+                completion = state.completion
                 break
-            if child.completable():
-                break
+            order.pop()
+            group[c] ^= 1 << v
+            known[c], edge[c] = saved
         else:
             raise RuntimeError(
                 f"internal error: the completion search passed a dead prefix at k={k}"
             )
-        state = child
-    return _witness(adj, state.order, state.letters, state.m, {})
+        letters.append(c)
+        m, unplaced = max(m, c), unplaced ^ 1 << v
+    return _witness(adj, order, letters, m, {})
 
 
 def _lettericity(g: Graph) -> tuple[int, LetteringWitness]:

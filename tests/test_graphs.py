@@ -348,6 +348,13 @@ def test_degree_answers_only_for_vertices():
             g.degree(v)
     with pytest.raises(ValueError, match="must be an integer"):
         g.degree(1.5)
+    assert [g.has_edge(u, v) for u, v in ((1, 2), (2, 1), (1, 3), (2.0, 3))] == [True, True, False, True]
+    for u, v in ((0, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            g.has_edge(u, v)
+    for u, v in ((1.5, 2), ("1", 2), (1, "2")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            g.has_edge(u, v)
 
 
 def test_induced_subgraph_matches_direct_filter():

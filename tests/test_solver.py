@@ -244,25 +244,41 @@ def test_induced_subgraphs_never_need_more_letters():
             assert lettericity_exact(induced_subgraph(g, vs))[0] <= k
 
 
-def _children(state):
-    # Each consistent next placement: v ascending, then c up to the next
-    # fresh letter, every child placed builds.
-    for v in state.rest:
-        for c in range(1, min(state.m + 1, state.k) + 1):
-            child = state.placed(v, c)
-            if child is not None:
-                yield child
+def _root(k):
+    # The empty prefix as _placements keeps it: (order, letters, group,
+    # known, edge).
+    return (), (), [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
 
 
-def _completable(adj, n, k, order, letters):
-    # Whether the prefix (vertex order[i] with letter letters[i]) extends to
-    # a lettering over at most k letters, by the solver's completion search.
-    state = solver._Completion(adj, n, k)
-    for v, c in zip(order, letters):
-        state = state.placed(v, c)
-        if state is None:
-            return False
-    return state.completable()
+def _m_unplaced(n, prefix):
+    # The largest letter of prefix and the mask of the vertices it leaves unplaced.
+    order, letters = prefix[:2]
+    return max(letters, default=0), (2 << n) - 2 - sum(1 << v for v in order)
+
+
+def _children(adj, n, k, prefix):
+    # Each next prefix, in the order _placements gives them: v ascending,
+    # then c up to the next fresh letter. A child is a fresh copy.
+    order, letters, group, known, edge = prefix
+    m, unplaced = _m_unplaced(n, prefix)
+    for v, c, seen in solver._placements(adj, k, m, unplaced, group, known, edge):
+        child = order + (v,), letters + (c,), group[:], known[:], edge[:]
+        child[2][c] |= 1 << v
+        child[3][c], child[4][c] = (2 << m) - 2, seen
+        yield child
+
+
+def _prefixes(adj, n, k, prefix):
+    # Every prefix _placements reaches from prefix, itself first, depth first.
+    yield prefix
+    for child in _children(adj, n, k, prefix):
+        yield from _prefixes(adj, n, k, child)
+
+
+def _state(adj, n, k, prefix):
+    # The class form the walk builds from prefix for one completion search.
+    order, _, group, known, edge = prefix
+    return solver._prefix_state(adj, n, k, order, group, known, edge)
 
 
 def test_completion_test_is_exact_on_every_visited_prefix():
@@ -280,15 +296,19 @@ def test_completion_test_is_exact_on_every_visited_prefix():
     dead = fired = 0
     for g, k in cases:
         n, adj = g.n, g.adjacency_masks()
-        for (order, letters), expected in prefix_liveness(g, k).items():
+        liveness = prefix_liveness(g, k)
+        prefixes = list(_prefixes(adj, n, k, _root(k)))
+        assert len(prefixes) == len(liveness), (g, k)
+        for prefix in prefixes:
+            order, letters = prefix[:2]
+            expected = liveness[order, letters]
             if 0 < len(order) < n:
-                got = _completable(adj, n, k, order, letters)
+                got = _state(adj, n, k, prefix).completable()
                 assert got == expected, (g, k, order, letters)
                 dead += not expected
                 if n > 5:
-                    classes = [sum(1 << v for v, a in zip(order, letters) if a == c) for c in range(1, k + 1)]
                     left = [u for u in range(1, n + 1) if u not in order]
-                    fired += any(0 != adj[u] & cm != cm for u in left for cm in classes)
+                    fired += any(0 != adj[u] & cm != cm for u in left for cm in prefix[2])
     assert dead > 0 and fired > 0
 
 
@@ -301,11 +321,10 @@ def _forward_check(state):
 
 def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
     # On every prefix the plain DFS reaches whose own forward check holds
-    # (the only states the walk extends), a placement that placed accepts
-    # is among steps() iff its child passes the forward check, and steps()
-    # lists its placements in walk order. Every graph with n <= 5 at
-    # k <= 3, where classes often hold two members, then seeded random
-    # graphs on 6 and 7 vertices.
+    # (the only prefixes the walk extends), _steps keeps exactly the
+    # placements of _placements whose child passes the forward check, in
+    # walk order. Every graph with n <= 5 at k <= 3, where classes often
+    # hold two members, then seeded random graphs on 6 and 7 vertices.
     cases = [(g, k) for n in range(1, 6) for g in all_graphs_up_to_iso(n) for k in range(min(n, 3) + 1)]
     rng = random.Random(23)
     for n, p in ((6, 0.3), (6, 0.5), (6, 0.7), (7, 0.4), (7, 0.6)):
@@ -313,19 +332,23 @@ def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
         cases += [(g, k) for k in (2, 3)]
     dropped = 0
 
-    def visit(state):
+    def visit(prefix):
         nonlocal dropped
-        steps = list(state.steps())
-        assert steps == sorted(steps)
-        for child in _children(state):
-            step, passes = (child.order[-1], child.letters[-1]), _forward_check(child)
-            assert (step in steps) == passes, (state.order, state.letters, step)
-            dropped += not passes
-            if passes:
-                visit(child)
+        m, unplaced = _m_unplaced(n, prefix)
+        steps = list(solver._steps(adj, k, m, unplaced, *prefix[2:]))
+        passing = []
+        for child in _children(adj, n, k, prefix):
+            if _forward_check(_state(adj, n, k, child)):
+                passing.append(child)
+            else:
+                dropped += 1
+        assert [(v, c) for v, c, _ in steps] == [(p[0][-1], p[1][-1]) for p in passing], prefix[:2]
+        for child in passing:
+            visit(child)
 
     for g, k in cases:
-        visit(solver._Completion(g.adjacency_masks(), g.n, k))
+        n, adj = g.n, g.adjacency_masks()
+        visit(_root(k))
     assert dropped > 0
 
 
@@ -343,28 +366,26 @@ def test_root_completion_test_decides_k():
 
 
 def test_placement_reaches_the_reference_prefixes():
-    # Placing one vertex at a time from the empty state, vertices and then
+    # Placing one vertex at a time from the empty prefix, vertices and then
     # letters ascending, reaches exactly the prefixes the plain DFS
     # reference reaches, in the same order. Every unoriented pair of
-    # nonempty classes in each state is flat: all members of one class see
-    # the other alike, all of it or none of it.
-    def reached(state):
-        cls, w = state.cls, state.w
-        assert all(
-            {state.adj[x] & bm for x in range(1, state.n + 1) if am >> x & 1} in ({0}, {bm})
-            for a, am in enumerate(cls)
-            for b, bm in enumerate(cls)
-            if a != b and am and bm and not state.pair[a * w + b]
-        ), (state.adj, state.k, state.order, state.letters)
-        yield tuple(state.order), tuple(state.letters)
-        for child in _children(state):
-            yield from reached(child)
-
+    # nonempty classes in the class form of each is flat: all members of
+    # one class see the other alike, all of it or none of it.
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             adj = g.adjacency_masks()
             for k in range(n + 1):
-                got = list(reached(solver._Completion(adj, n, k)))
+                got = []
+                for prefix in _prefixes(adj, n, k, _root(k)):
+                    state = _state(adj, n, k, prefix)
+                    cls, w = state.cls, state.w
+                    assert all(
+                        {adj[x] & bm for x in range(1, n + 1) if am >> x & 1} in ({0}, {bm})
+                        for a, am in enumerate(cls)
+                        for b, bm in enumerate(cls)
+                        if a != b and am and bm and not state.pair[a * w + b]
+                    ), (g, k, prefix[:2])
+                    got.append(prefix[:2])
                 assert got == list(dfs_prefixes(g, k)), (g, k)
 
 
@@ -383,16 +404,15 @@ def _completion_word(g, completion):
     return tuple(order), tuple(letters)
 
 
-def _assert_completion_letters(g, k, state, completion=None):
-    # The completion that state's search recorded (or the one given) gives a
-    # lettering of g over at most k letters whose word starts with the
-    # state's prefix.
-    order, letters = _completion_word(g, completion or state.completion)
+def _assert_completion_letters(g, k, completion, prefix=((), ())):
+    # The completion gives a lettering of g over at most k letters whose
+    # word starts with the prefix (order, letters) it was recorded for.
+    order, letters = _completion_word(g, completion)
     lettering = Lettering(letters, Decoder(max(letters), _reference_pairs(g, order, letters)))
-    assert verify_lettering(lettering, g, order), (g, k, state.order)
+    assert verify_lettering(lettering, g, order), (g, k, prefix)
     assert lettering.alphabet_size <= k
-    depth = len(state.order)
-    assert (order[:depth], letters[:depth]) == (tuple(state.order), tuple(state.letters))
+    depth = len(prefix[0])
+    assert (order[:depth], letters[:depth]) == prefix
 
 
 def _transposed(reach):
@@ -409,9 +429,9 @@ def test_recorded_completion_is_a_lettering():
             for k in range(n + 1):
                 root = solver._Completion(g.adjacency_masks(), n, k)
                 if root.completable():
-                    _assert_completion_letters(g, k, root)
+                    _assert_completion_letters(g, k, root.completion)
                     cls, reach = root.completion
-                    _assert_completion_letters(g, k, root, (cls, _transposed(reach)))
+                    _assert_completion_letters(g, k, (cls, _transposed(reach)))
                 else:
                     assert root.completion is None
 
@@ -421,12 +441,18 @@ def test_recorded_completion_is_a_lettering():
 def test_recorded_completion_is_a_lettering_of_labelled_graphs(g, k):
     # Also below the root: along the walk, each first child whose search
     # passes records a completion that keeps its prefix.
-    state = solver._Completion(g.adjacency_masks(), g.n, min(k, g.n))
+    n, adj, k = g.n, g.adjacency_masks(), min(k, g.n)
+    state, prefix = solver._Completion(adj, n, k), _root(k)
     if state.completable():
-        _assert_completion_letters(g, k, state)
-        while state.rest:
-            state = next(child for child in _children(state) if child.completable())
-            _assert_completion_letters(g, k, state)
+        _assert_completion_letters(g, k, state.completion)
+        while len(prefix[0]) < n:
+            state, prefix = next(
+                (state, child)
+                for child in _children(adj, n, k, prefix)
+                for state in [_state(adj, n, k, child)]
+                if state.completable()
+            )
+            _assert_completion_letters(g, k, state.completion, prefix[:2])
 
 
 def _closure(n, arcs):
@@ -625,13 +651,12 @@ def test_infeasible_k_costs_one_completion_call(monkeypatch):
 
 
 def test_walk_completion_searches_are_pinned(monkeypatch):
-    # The root search plus the walk's searches, how many of them search
-    # (place at i = 0), and how many child states placed builds. Without
-    # the carried completion P_9, P_10 and 4K_2 take 27, 32 and 9 searches.
-    # Placing each child before the forward check takes 19, 22 and 1 calls
-    # and builds 26, 31 and 8; deciding each step on its parent places and
-    # searches only the steps that pass it.
-    completable, place, placed = solver._Completion.completable, solver._Completion.place, solver._Completion.placed
+    # The root search plus the walk's searches, and how many of them search
+    # (place at i = 0). Without the carried completion P_9, P_10 and 4K_2
+    # take 27, 32 and 9 searches. The walk builds a class form only for a
+    # search, after the forward check, so every state built beyond the root
+    # is searched.
+    completable, place, prefix_state = solver._Completion.completable, solver._Completion.place, solver._prefix_state
     calls, searched, built = [], [], []
 
     def counted(state):
@@ -643,25 +668,24 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
             searched.append(state)
         return place(state, i, m, reach)
 
-    def counted_placed(state, v, c):
-        child = placed(state, v, c)
-        if child is not None:
-            built.append(child)
-        return child
+    def counted_prefix_state(*args):
+        built.append(prefix_state(*args))
+        return built[-1]
 
     monkeypatch.setattr(solver._Completion, "completable", counted)
     monkeypatch.setattr(solver._Completion, "place", counted_place)
-    monkeypatch.setattr(solver._Completion, "placed", counted_placed)
+    monkeypatch.setattr(solver, "_prefix_state", counted_prefix_state)
     for g, expected in (
-        (path_graph(9), (7, 7, 14)),
-        (path_graph(10), (7, 7, 16)),
-        (matching_graph(4), (1, 1, 8)),
+        (path_graph(9), (7, 7)),
+        (path_graph(10), (7, 7)),
+        (matching_graph(4), (1, 1)),
     ):
         calls.clear()
         searched.clear()
         built.clear()
         assert is_k_letterable(g, 4) is not None
-        assert (len(calls), len(searched), len(built)) == expected, g
+        assert (len(calls), len(searched)) == expected, g
+        assert built == searched[1:], g
 
 
 def test_root_refutation_searches_are_pinned(monkeypatch):

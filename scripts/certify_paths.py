@@ -7,8 +7,8 @@ call certifies the upper bound floor((n+4)/3). For n up to
 --max-exact the exact solver certifies the matching lower bound, so on that
 prefix the formula is confirmed outright. The sweep calls the solver's
 unbounded core, so --max-exact may pass VERTEX_LIMIT: --max-exact 20 prints
-each n's time and takes about 9-12 s (Python 3.11, 2 vCPUs), a fifth of it
-in the one search that rejects k = 7 for P_20.
+each n's time and takes about 7-9 s (Python 3.11, 2 vCPUs), about 4 s of it
+for P_20.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ from .graphs import _integer, _path_shape
 
 def path_lettericity(n: int) -> int:
     """Minimum alphabet size for P_n, n >= 3: floor((n+4)/3)."""
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError(
             f"closed form covers n >= 3, got {n}; P_1 and P_2 both have "
@@ -43,8 +42,7 @@ def path_lettering(n: int) -> Lettering:
     is one path on n vertices. It keeps that shape on the decoded graph and
     no vertex order.
     """
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError(
             f"path letterings are constructed for n >= 3, got {n}; P_1 and "
@@ -73,8 +71,7 @@ def path_lettering(n: int) -> Lettering:
 def matching_base_lettering(r: int) -> Lettering:
     """Lettering of rK_2 on r+1 letters: word 21 32 43 ... (r+1)r with
     decoder {(j+1, j)}; block j decodes to the edge {2j-1, 2j}."""
-    if type(r) is not int:
-        r = _integer(r, "r")
+    r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     letters = list(range(r + 2))
@@ -85,8 +82,7 @@ def matching_base_lettering(r: int) -> Lettering:
 def matching_canonical_lettering(r: int) -> Lettering:
     """Optimal lettering of rK_2 on r letters: word 1 1 2 2 ... r r with
     decoder {(a, a)}; each letter's two positions form one edge."""
-    if type(r) is not int:
-        r = _integer(r, "r")
+    r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     letters = list(range(1, r + 1))

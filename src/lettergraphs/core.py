@@ -33,6 +33,14 @@ def _letter(value) -> int:
     return _integer(value, "letter", InvalidLetteringError, digits=True)
 
 
+def _pair(pair) -> tuple[int, int]:
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise InvalidLetteringError(f"decoder pair {pair!r} is not a pair of letters") from None
+    return _letter(a), _letter(b)
+
+
 class Decoder(Record):
     """Ordered letter pairs over {1..alphabet_size}."""
 
@@ -41,9 +49,7 @@ class Decoder(Record):
     pairs: frozenset[tuple[int, int]]
 
     def __init__(self, alphabet_size: int, pairs: frozenset[tuple[int, int]] = frozenset()):
-        k = alphabet_size
-        if type(k) is not int:
-            k = _integer(k, "alphabet size", InvalidLetteringError)
+        k = _integer(alphabet_size, "alphabet size", InvalidLetteringError)
         if k < 0:
             raise InvalidLetteringError(f"alphabet size must be >= 0, got {k}")
         # A frozenset of (int, int) tuples is kept as given; anything else is
@@ -54,7 +60,7 @@ class Decoder(Record):
         if type(pairs) is frozenset and {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
             letters = [*chain.from_iterable(pairs)]
         if letters is None or not {*map(type, letters)} <= {int}:
-            pairs = frozenset((_letter(a), _letter(b)) for a, b in pairs)
+            pairs = frozenset(map(_pair, pairs))
             letters = [*chain.from_iterable(pairs)]
         if letters and (min(letters) < 1 or max(letters) > k):
             for a, b in pairs:

@@ -51,6 +51,8 @@ def _integer(value, what: str, error: type[ValueError] = ValueError, digits: boo
     taken, and digit strings too where digits is set (letters and vertex
     mappings take them); any other value, such as 1.5, or "3" without
     digits, raises error instead of being truncated or compared."""
+    if type(value) is int:
+        return value
     if digits and isinstance(value, str):
         return int(value)
     try:
@@ -143,8 +145,7 @@ class Graph(Record):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
-        if type(n) is not int:
-            n = _integer(n, "vertex count")
+        n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         edges = edges if type(edges) is frozenset else tuple(edges)
@@ -152,7 +153,10 @@ class Graph(Record):
         # copy would double it.
         keep, ints = type(edges) is frozenset, True
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 u, v = _integer(u, "vertex"), _integer(v, "vertex")
                 keep = ints = False
@@ -255,8 +259,7 @@ class Graph(Record):
 
     def _vertex(self, v) -> int:
         """v as a vertex: an integer in 1..n, else ValueError."""
-        if type(v) is not int:
-            v = _integer(v, "vertex")
+        v = _integer(v, "vertex")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
         return v
@@ -326,8 +329,7 @@ def _walk_shape(g: Graph) -> tuple | None:
 
 def path_graph(n: int) -> Graph:
     """P_n: vertices 1..n in path order, edges {i, i+1}."""
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
     return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)), _path_shape(n))
@@ -335,8 +337,7 @@ def path_graph(n: int) -> Graph:
 
 def matching_graph(r: int) -> Graph:
     """rK_2: r disjoint edges {2i-1, 2i} on vertices 1..2r."""
-    if type(r) is not int:
-        r = _integer(r, "r")
+    r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"matching needs at least one edge, got r={r}")
     return Graph._from_endpoints(
@@ -396,10 +397,7 @@ def is_matching(g: Graph) -> bool:
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced by the given vertex set, relabelled 1..|S| by rank."""
-    vs = sorted({_integer(v, "vertex") for v in vertices})
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside 1..{g.n}")
+    vs = sorted({g._vertex(v) for v in vertices})
     rank = {v: i + 1 for i, v in enumerate(vs)}
     keep = set(vs)
     edges = frozenset(

@@ -12,7 +12,8 @@ ascending order, so every reported result is deterministic.
 
 Both engines keep a prefix one way, as its letter classes and two bitmasks
 per letter (the earlier letters it pairs with, and those of them that pair
-as edges), and extend it by one rule, _placements.
+as edges), and extend it by one rule, _placements, which makes each
+placement as it yields it and undoes it on the next request.
 
 The decision (is_k_letterable, and so lettericity_exact) asks whether a
 prefix extends in Petkovsek's structural view of letter graphs: letter
@@ -128,15 +129,17 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
 
 
 def _placements(adj, k: int, m: int, candidates: int, group, known, edge):
-    """The consistent placements (v, c, seen) after a prefix over letters
-    1..m: v ascending in the mask candidates, then c up to the next fresh
-    letter. group[c] is class c's vertex mask; bit a of known[c] (edge[c])
-    says the prefix realizes letter pair (a, c), a first (as an edge). v
-    sees each class all or nothing, those in the mask seen in full, and
-    agrees with every pair (a, c) known; placing it sets known[c] to letters
-    1..m and edge[c] to seen, exactly: known[c] held no letter past m, and
-    seen agrees with edge[c] on it. Lists changed between yields must be
-    restored before the next."""
+    """The consistent placements (v, c) after a prefix over letters 1..m: v
+    ascending in the mask candidates, then c up to the next fresh letter.
+    group[c] is class c's vertex mask; bit a of known[c] (edge[c]) says the
+    prefix realizes letter pair (a, c), a first (as an edge). v sees each
+    class all or nothing, those in the mask seen in full, and agrees with
+    every pair (a, c) known. While a placement is yielded it is made: v is
+    in group[c], known[c] holds letters 1..m and edge[c] seen (exactly, as
+    known[c] held no letter past m and seen agrees with edge[c] on it). The
+    next request undoes it, from the lists as the yield left them, so a
+    caller that stops iterating keeps it."""
+    earlier = (2 << m) - 2  # letters 1..m
     while candidates:
         v = (candidates & -candidates).bit_length() - 1
         candidates &= candidates - 1
@@ -150,8 +153,13 @@ def _placements(adj, k: int, m: int, candidates: int, group, known, edge):
                 break
         else:
             for c in range(1, min(m + 1, k) + 1):
-                if not (edge[c] ^ seen) & known[c]:
-                    yield v, c, seen  # else a pair (a, c) was realized the other way
+                kc, ec = known[c], edge[c]
+                if not (ec ^ seen) & kc:  # else a pair (a, c) was realized the other way
+                    group[c] |= 1 << v
+                    known[c], edge[c] = earlier, seen
+                    yield v, c
+                    group[c] ^= 1 << v
+                    known[c], edge[c] = kc, ec
 
 
 # Orientations of a class pair (a, b) in _Completion.pair, 0 until it has one:
@@ -186,18 +194,33 @@ class _Completion:
     c, pair[a * w + b] the orientation of class pair (a, b) or 0, and
     reach[u] the closed mask of vertices after u. A pair is oriented the
     moment it turns mixed, so an unoriented pair of nonempty classes is
-    flat: all members of one see the other alike, all of it or none. The
-    constructor gives the empty prefix; _prefix_state any other. completion
-    is (cls, reach) of a lettering completable found, else None."""
+    flat: all members of one see the other alike, all of it or none.
+    completion is (cls, reach) of a lettering completable found, else None.
+
+    It is built from a prefix kept as _placements keeps it, vertex order[i]
+    at position i+1; the empty prefix gives the root. Its precedence is the
+    prefix order, already closed: reach[order[i]] holds the later prefix and
+    every unplaced vertex. Pair (c, b) is oriented iff the prefix realizes
+    it both ways and differently: _SECOND if letter pair (b, c) is an edge,
+    else _FIRST."""
 
     completion = None
 
-    def __init__(self, adj, n: int, k: int):
-        self.adj, self.k, self.w, self.m = adj, k, k + 1, 0
-        self.rest = list(range(1, n + 1))
-        self.cls = [0] * (k + 1)
-        self.pair = [0] * (k + 1) ** 2
-        self.reach = [0] * (n + 1)
+    def __init__(self, adj, n: int, k: int, order, group, known, edge):
+        w = k + 1
+        self.adj, self.k, self.w, self.cls = adj, k, w, group[:]
+        self.m = m = sum(1 for cm in group if cm)
+        later = (2 << n) - 2 - sum(1 << v for v in order)  # the unplaced vertices
+        self.rest = [u for u in range(1, n + 1) if later >> u & 1]
+        self.reach = reach = [0] * (n + 1)
+        for v in reversed(order):
+            reach[v] = later
+            later |= 1 << v
+        self.pair = pair = [0] * w * w
+        for c in range(1, m + 1):
+            for b in range(1, m + 1):
+                if known[c] >> b & known[b] >> c & (edge[c] >> b ^ edge[b] >> c) & 1:
+                    pair[c * w + b] = _SECOND if edge[c] >> b & 1 else _FIRST
 
     def completable(self) -> bool:
         """Whether the prefix extends to a lettering over at most k letters:
@@ -296,28 +319,6 @@ class _Completion:
         return False
 
 
-def _prefix_state(adj, n: int, k: int, order, group, known, edge) -> _Completion:
-    """The _Completion of a prefix kept as _placements keeps it, vertex
-    order[i] at position i+1. Its precedence is the prefix order, already
-    closed: reach[order[i]] holds the later prefix and every unplaced vertex.
-    Pair (c, b) is oriented iff the prefix realizes it both ways and
-    differently: _SECOND if letter pair (b, c) is an edge, else _FIRST."""
-    state = _Completion(adj, n, k)
-    w, pair, reach = state.w, state.pair, state.reach
-    state.cls[:] = group
-    state.m = m = sum(1 for cm in group if cm)
-    later = (2 << n) - 2 - sum(1 << v for v in order)  # the unplaced vertices
-    state.rest = [u for u in state.rest if later >> u & 1]
-    for v in reversed(order):
-        reach[v] = later
-        later |= 1 << v
-    for c in range(1, m + 1):
-        for b in range(1, m + 1):
-            if known[c] >> b & known[b] >> c & (edge[c] >> b ^ edge[b] >> c) & 1:
-                pair[c * w + b] = _SECOND if edge[c] >> b & 1 else _FIRST
-    return state
-
-
 def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
     """enumerate_letterings without its checks: a backtracking DFS over
     every assignment with exactly k letters, keeping the first witness of
@@ -361,18 +362,10 @@ def _search(g: Graph, k: int, limit: int | None) -> EnumerationResult:
             skip |= skips
             # A child's stabilizer is a subgroup of this one.
             symmetric = skips != 0
-        earlier = (2 << used) - 2  # letters 1..used
-        for v, c, seen in _placements(adj, k, used, vertices & ~skip, group, known, edge):
-            vbit = 1 << v
-            saved = known[c], edge[c]
-            known[c], edge[c] = earlier, seen
+        for v, c in _placements(adj, k, used, vertices & ~skip, group, known, edge):
             order[depth] = v
             letters[depth] = c
-            group[c] |= vbit
-            keep_going = extend(depth + 1, used + (c > used), placed | vbit, symmetric)
-            group[c] &= ~vbit
-            known[c], edge[c] = saved
-            if not keep_going:
+            if not extend(depth + 1, used + (c > used), placed | 1 << v, symmetric):
                 return False
         return True
 
@@ -396,14 +389,15 @@ def _check_graph(g: Graph, limit: int) -> None:
 
 def _steps(adj, k: int, m: int, unplaced: int, group, known, edge):
     """The walk's forward check on _placements: those that leave no other
-    unplaced vertex seeing the grown class group[c] | 1 << v partly. On a
-    prefix whose unplaced vertices see each class all or nothing (the empty
-    one, and each _steps extends), such a vertex sees that class partly iff
-    it tells v from a member x, and the other classes are unchanged."""
-    for v, c, seen in _placements(adj, k, m, unplaced, group, known, edge):
-        cm = group[c]
+    unplaced vertex seeing the grown class group[c] partly, each made while
+    it is yielded. On a prefix whose unplaced vertices see each class all or
+    nothing (the empty one, and each _steps extends), such a vertex sees
+    that class partly iff it tells v from a member x of the class as it was
+    before v joined, and the other classes are unchanged."""
+    for v, c in _placements(adj, k, m, unplaced, group, known, edge):
+        cm = group[c] ^ 1 << v
         if not cm or not (adj[(cm & -cm).bit_length() - 1] ^ adj[v]) & (unplaced ^ 1 << v):
-            yield v, c, seen
+            yield v, c
 
 
 def _certified(completion, unplaced: int, group, m: int) -> tuple[int, int] | None:
@@ -430,35 +424,30 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     The first witness is the first lettering in vertex-then-letter
     ascending order, the one a depth-first search over those choices
     reaches first. One completion search on the empty prefix decides k.
-    For a feasible k the walk keeps the accepted prefix as _search does
-    and extends it by its first placement that passes _steps and then a
-    completion search on a class form built for it; the search is exact,
-    so that child extends and no earlier one did. The walk carries the
-    last completion a search recorded: the placement it certifies is taken
-    without a search once those before it have failed theirs."""
+    For a feasible k the walk extends the accepted prefix by the first
+    placement _steps makes whose class form passes a completion search, and
+    breaks there, which keeps it; the search is exact, so that child extends
+    and no earlier one did. The walk carries the last completion a search
+    recorded: the placement it certifies is taken without a search once
+    those before it have failed theirs."""
     n, adj = g.n, g.adjacency_masks()
-    root = _Completion(adj, n, k)
+    order, letters, m, unplaced = [], [], 0, (2 << n) - 2
+    group, known, edge = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
+    root = _Completion(adj, n, k, order, group, known, edge)
     if not root.completable():
         return None  # one exact search at the root decides an infeasible k
     completion = root.completion
-    order, letters, m, unplaced = [], [], 0, (2 << n) - 2
-    group, known, edge = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
     while unplaced:
         sure = _certified(completion, unplaced, group, m)
-        for v, c, seen in _steps(adj, k, m, unplaced, group, known, edge):
-            saved = known[c], edge[c]
-            known[c], edge[c] = (2 << m) - 2, seen
-            group[c] |= 1 << v
+        for v, c in _steps(adj, k, m, unplaced, group, known, edge):
             order.append(v)
             if (v, c) == sure:
                 break  # it extends to the carried completion
-            state = _prefix_state(adj, n, k, order, group, known, edge)
+            state = _Completion(adj, n, k, order, group, known, edge)
             if state.completable():
                 completion = state.completion
                 break
             order.pop()
-            group[c] ^= 1 << v
-            known[c], edge[c] = saved
         else:
             raise RuntimeError(
                 f"internal error: the completion search passed a dead prefix at k={k}"

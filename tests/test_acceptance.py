@@ -69,13 +69,13 @@ def test_criterion_2_exact_path_lettericity():
 
 def test_criterion_3_matching_lettericity():
     t0 = time.time()
-    for r in range(1, 8):
+    for r in range(1, 9):
         k, w = _lettericity(matching_graph(r))
         assert k == r, f"{r}K_2: solver {k}"
         assert verify_lettering(w.lettering, matching_graph(r), w.vertex_of_position)
     elapsed = time.time() - t0
     assert elapsed < 60, f"matching sweep took {elapsed:.1f}s, budget 60s"
-    _report(3, "lettericity of rK_2 is r for r = 1..7", t0)
+    _report(3, "lettericity of rK_2 is r for r = 1..8", t0)
 
 
 def test_criterion_4_minimum_matching_letterings_pair_edges():

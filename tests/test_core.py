@@ -130,11 +130,17 @@ def test_invalid_lettering_messages():
         (lambda: Decoder(float("inf")), "alphabet size must be an integer, got inf"),
         # Letters take digit strings, the alphabet size does not.
         (lambda: Decoder("2"), "alphabet size must be an integer, got '2'"),
+        # A decoder pair that is not a pair is named.
+        (lambda: Decoder(2, [5]), "decoder pair 5 is not a pair of letters"),
+        (lambda: Decoder(2, [(1, 2, 3)]), "decoder pair (1, 2, 3) is not a pair of letters"),
+        (lambda: Decoder(2, frozenset({(1,)})), "decoder pair (1,) is not a pair of letters"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidLetteringError) as info:
             build()
         assert str(info.value) == message
+    with pytest.raises(TypeError):
+        Decoder(2, 5)  # pairs that are not iterable
 
 
 def test_lettering_and_decoder_keep_normalized_input():

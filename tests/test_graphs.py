@@ -127,6 +127,18 @@ def test_graph_rejects_bad_edges():
     g = Graph(3.0, [(1.0, 2), (True, 3)])
     assert g == Graph(3, frozenset({(1, 2), (1, 3)}))
     assert type(g.n) is int and all(type(u) is int for e in g.edges for u in e)
+    # An edge that is not a pair is named; an edge collection that is not
+    # iterable stays a TypeError.
+    for edges, message in (
+        ([(1, 2, 3)], "edge (1, 2, 3) is not a pair of vertices"),
+        ([1], "edge 1 is not a pair of vertices"),
+        (frozenset({(1,)}), "edge (1,) is not a pair of vertices"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Graph(3, edges)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):
+        Graph(3, 5)
 
 
 def test_builders():

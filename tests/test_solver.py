@@ -258,14 +258,12 @@ def _m_unplaced(n, prefix):
 
 def _children(adj, n, k, prefix):
     # Each next prefix, in the order _placements gives them: v ascending,
-    # then c up to the next fresh letter. A child is a fresh copy.
+    # then c up to the next fresh letter. A child is a fresh copy of the
+    # lists _placements holds while it yields the placement.
     order, letters, group, known, edge = prefix
     m, unplaced = _m_unplaced(n, prefix)
-    for v, c, seen in solver._placements(adj, k, m, unplaced, group, known, edge):
-        child = order + (v,), letters + (c,), group[:], known[:], edge[:]
-        child[2][c] |= 1 << v
-        child[3][c], child[4][c] = (2 << m) - 2, seen
-        yield child
+    for v, c in solver._placements(adj, k, m, unplaced, group, known, edge):
+        yield order + (v,), letters + (c,), group[:], known[:], edge[:]
 
 
 def _prefixes(adj, n, k, prefix):
@@ -275,10 +273,11 @@ def _prefixes(adj, n, k, prefix):
         yield from _prefixes(adj, n, k, child)
 
 
-def _state(adj, n, k, prefix):
-    # The class form the walk builds from prefix for one completion search.
-    order, _, group, known, edge = prefix
-    return solver._prefix_state(adj, n, k, order, group, known, edge)
+def _state(adj, n, k, prefix=None):
+    # The class form the walk builds from prefix for one completion search;
+    # the root without one.
+    order, _, group, known, edge = prefix or _root(k)
+    return solver._Completion(adj, n, k, order, group, known, edge)
 
 
 def test_completion_test_is_exact_on_every_visited_prefix():
@@ -342,7 +341,7 @@ def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
                 passing.append(child)
             else:
                 dropped += 1
-        assert [(v, c) for v, c, _ in steps] == [(p[0][-1], p[1][-1]) for p in passing], prefix[:2]
+        assert steps == [(p[0][-1], p[1][-1]) for p in passing], prefix[:2]
         for child in passing:
             visit(child)
 
@@ -350,6 +349,41 @@ def test_steps_keep_exactly_the_children_that_pass_the_forward_check():
         n, adj = g.n, g.adjacency_masks()
         visit(_root(k))
     assert dropped > 0
+
+
+def test_placements_make_and_undo_each_placement():
+    # On every prefix of every graph with n <= 5 at every k: while
+    # _placements yields (v, c), its lists hold the child prefix, v in class
+    # c, known[c] letters 1..m and edge[c] the classes v sees in full; once
+    # it moves on or ends they are as before; a caller that breaks at a
+    # placement keeps it.
+    kept = 0
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            adj = g.adjacency_masks()
+            for k in range(n + 1):
+                for prefix in _prefixes(adj, n, k, _root(k)):
+                    lists = [x[:] for x in prefix[2:]]
+                    before = [x[:] for x in lists]
+                    m, unplaced = _m_unplaced(n, prefix)
+                    children = []
+                    for v, c in solver._placements(adj, k, m, unplaced, *lists):
+                        group, known, edge = (x[:] for x in before)
+                        edge[c] = sum(1 << a for a in range(1, m + 1) if adj[v] & group[a] == group[a])
+                        known[c] = (2 << m) - 2
+                        group[c] |= 1 << v
+                        assert lists == [group, known, edge], (g, k, prefix[:2], v, c)
+                        children.append([x[:] for x in lists])
+                    assert lists == before, (g, k, prefix[:2])
+                    for i, child in enumerate(children):
+                        placements = solver._placements(adj, k, m, unplaced, *lists)
+                        for _ in range(i + 1):
+                            next(placements)
+                        del placements  # the caller stops iterating here
+                        assert lists == child, (g, k, prefix[:2], i)
+                        lists = [x[:] for x in before]
+                        kept += 1
+    assert kept > 1000
 
 
 def test_root_completion_test_decides_k():
@@ -362,7 +396,7 @@ def test_root_completion_test_decides_k():
             adj = g.adjacency_masks()
             for k in range(n + 1):
                 expected = first_lettering(g, k) is not None
-                assert solver._Completion(adj, n, k).completable() == expected, (g, k)
+                assert _state(adj, n, k).completable() == expected, (g, k)
 
 
 def test_placement_reaches_the_reference_prefixes():
@@ -427,7 +461,7 @@ def test_recorded_completion_is_a_lettering():
     for n in range(1, 6):
         for g in all_graphs_up_to_iso(n):
             for k in range(n + 1):
-                root = solver._Completion(g.adjacency_masks(), n, k)
+                root = _state(g.adjacency_masks(), n, k)
                 if root.completable():
                     _assert_completion_letters(g, k, root.completion)
                     cls, reach = root.completion
@@ -442,7 +476,7 @@ def test_recorded_completion_is_a_lettering_of_labelled_graphs(g, k):
     # Also below the root: along the walk, each first child whose search
     # passes records a completion that keeps its prefix.
     n, adj, k = g.n, g.adjacency_masks(), min(k, g.n)
-    state, prefix = solver._Completion(adj, n, k), _root(k)
+    state, prefix = _state(adj, n, k), _root(k)
     if state.completable():
         _assert_completion_letters(g, k, state.completion)
         while len(prefix[0]) < n:
@@ -489,7 +523,7 @@ def test_closure_steps_match_a_brute_force_closure():
             if rng.random() < 0.5:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        state = solver._Completion(adj, n, k)
+        state = _state(adj, n, k)
         classes = [0] + [rng.randint(1, k) for _ in range(n)]
         state.cls = [sum(1 << v for v in range(1, n + 1) if classes[v] == c) for c in range(k + 1)]
         arcs, reach = set(), [0] * (n + 1)
@@ -654,9 +688,9 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
     # The root search plus the walk's searches, and how many of them search
     # (place at i = 0). Without the carried completion P_9, P_10 and 4K_2
     # take 27, 32 and 9 searches. The walk builds a class form only for a
-    # search, after the forward check, so every state built beyond the root
-    # is searched.
-    completable, place, prefix_state = solver._Completion.completable, solver._Completion.place, solver._prefix_state
+    # search, after the forward check, so every _Completion built is
+    # searched.
+    completable, place, init = solver._Completion.completable, solver._Completion.place, solver._Completion.__init__
     calls, searched, built = [], [], []
 
     def counted(state):
@@ -668,13 +702,13 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
             searched.append(state)
         return place(state, i, m, reach)
 
-    def counted_prefix_state(*args):
-        built.append(prefix_state(*args))
-        return built[-1]
+    def counted_init(state, *args):
+        built.append(state)
+        init(state, *args)
 
     monkeypatch.setattr(solver._Completion, "completable", counted)
     monkeypatch.setattr(solver._Completion, "place", counted_place)
-    monkeypatch.setattr(solver, "_prefix_state", counted_prefix_state)
+    monkeypatch.setattr(solver._Completion, "__init__", counted_init)
     for g, expected in (
         (path_graph(9), (7, 7)),
         (path_graph(10), (7, 7)),
@@ -685,7 +719,7 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
         built.clear()
         assert is_k_letterable(g, 4) is not None
         assert (len(calls), len(searched)) == expected, g
-        assert built == searched[1:], g
+        assert built == searched, g
 
 
 def test_root_refutation_searches_are_pinned(monkeypatch):

@@ -34,7 +34,11 @@ def _letter(value) -> int:
 
 
 def _pair(pair) -> tuple[int, int]:
+    # A string or bytes unpacks into digit strings or ints, which letters
+    # would take; it names no pair.
     try:
+        if isinstance(pair, (str, bytes, bytearray)):
+            raise TypeError
         a, b = pair
     except (TypeError, ValueError):
         raise InvalidLetteringError(f"decoder pair {pair!r} is not a pair of letters") from None

@@ -11,8 +11,9 @@ use and cached on the graph:
 - small exact search (the solver, are_isomorphic, the audits) reads n-bit
   neighbor masks from adjacency_masks(); their size is quadratic in n,
   which is harmless below the search bounds;
-- long words keep their edges as two flat endpoint lists, filled by decode
-  and the path and matching builders. One shape pass reads degree and
+- long words keep their edges as two flat endpoint sequences: the lists
+  decode fills, or the two ranges path_graph and matching_graph keep, so
+  those builders hold nothing per vertex. One shape pass reads degree and
   neighbor-XOR lists derived from them and keeps only the component
   lengths of a graph of maximum degree 2, split into paths and cycles, so
   recognizing and certifying a decoded path stays linear in its size and
@@ -22,7 +23,9 @@ use and cached on the graph:
   shape of a perfect matching without a walk;
 - the edge set itself, a frozenset of (u, v) tuples, is built only when a
   caller reads Graph.edges, compares or hashes the graph, or asks
-  has_edge. The edge-list and DOT writers sort integer keys instead.
+  has_edge. The edge-list and DOT writers sort integer keys instead, and
+  write and join their lines in slices of 4096, so only one slice's lines
+  are held as separate strings.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -32,7 +35,7 @@ module.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
 from operator import add, floordiv, mod, mul
 
@@ -137,8 +140,8 @@ class Graph(Record):
     are converted, and non-integral ones and strings raise ValueError.
 
     Immutable, and equal and hashed by (n, edges). A graph is held as its
-    edge set (this constructor) or as flat endpoint lists (_from_endpoints,
-    for long words), whose edge set is built on first use.
+    edge set (this constructor) or as flat endpoint sequences
+    (_from_endpoints, for long words), whose edge set is built on first use.
     """
 
     __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degrees", "_components")
@@ -153,6 +156,12 @@ class Graph(Record):
         # copy would double it.
         keep, ints = type(edges) is frozenset, True
         for e in edges:
+            if type(e) is not tuple:
+                # A string or bytes unpacks into characters or ints; it
+                # names no edge.
+                if isinstance(e, (str, bytes, bytearray)):
+                    raise ValueError(f"edge {e!r} is not a pair of vertices")
+                keep = False
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -167,7 +176,6 @@ class Graph(Record):
                 keep = False
             if u < 1 or v > n:
                 raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{n}")
-            keep = keep and type(e) is tuple
         if not ints:
             edges = [(int(u), int(v)) for u, v in edges]  # each checked above
         if not keep:
@@ -175,12 +183,13 @@ class Graph(Record):
         self._init(n, edges, None, _UNSET)
 
     @classmethod
-    def _from_endpoints(cls, n: int, tails: list[int], heads: list[int], shape=_UNSET) -> Graph:
-        """Graph whose edges are (tails[i], heads[i]), kept as these lists.
+    def _from_endpoints(cls, n: int, tails: Sequence[int], heads: Sequence[int], shape=_UNSET) -> Graph:
+        """Graph whose edges are (tails[i], heads[i]), kept as these two
+        sequences of equal length: decode's lists, or the builders' ranges.
 
         Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n and
-        no repeated pair, and hands the lists over, with the value _shape()
-        would compute if the caller knows it.
+        no repeated pair, and never writes to the sequences afterwards. It
+        passes the value _shape() would compute if it knows it.
         """
         g = object.__new__(cls)
         g._init(n, None, (tails, heads), shape)
@@ -332,7 +341,7 @@ def path_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
-    return Graph._from_endpoints(n, list(range(1, n)), list(range(2, n + 1)), _path_shape(n))
+    return Graph._from_endpoints(n, range(1, n), range(2, n + 1), _path_shape(n))
 
 
 def matching_graph(r: int) -> Graph:
@@ -340,9 +349,7 @@ def matching_graph(r: int) -> Graph:
     r = _integer(r, "r")
     if r < 1:
         raise ValueError(f"matching needs at least one edge, got r={r}")
-    return Graph._from_endpoints(
-        2 * r, list(range(1, 2 * r, 2)), list(range(2, 2 * r + 1, 2)), (((2, r),), ())
-    )
+    return Graph._from_endpoints(2 * r, range(1, 2 * r, 2), range(2, 2 * r + 1, 2), (((2, r),), ()))
 
 
 def is_path(g: Graph) -> tuple[int, ...] | None:
@@ -504,24 +511,36 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _lines(line: str, keys: Sequence[int], fields: Callable[[Sequence[int]], tuple]) -> str:
+    """One line % fields(part) per key, joined by newlines, where part runs
+    over slices of 4096 keys, as format_lettering joins a word: only one
+    slice's lines are held as separate values at a time. fields(part) is
+    the flat tuple of the slice's line values."""
+    parts = (keys[i : i + 4096] for i in range(0, len(keys), 4096))
+    return "\n".join(["\n".join([line] * len(part)) % fields(part) for part in parts])
+
+
 def _edge_lines(g: Graph, line: str) -> str:
     """The edges in sorted order, each written as line % (u, v), joined by
     newlines; empty without edges.
 
-    Sorts the integer keys u * (n + 1) + v, which order as the (u, v) pairs
-    do but compare faster than tuples, and writes every line with one %
-    call on a flat tuple of the sorted endpoints.
+    Sorts the integer keys u * (n + 1) + v once, which order as the (u, v)
+    pairs do but compare faster than tuples, and writes the lines in slices
+    of 4096 keys, each with one % call on the flat endpoints of its slice.
     """
-    m = g._size()
-    if not m:
+    if not g._size():
         return ""
     tails, heads = g._ends or zip(*g._edges)
     base = g.n + 1
     keys = sorted(map(add, map(mul, tails, repeat(base)), heads))
-    flat = [0] * (2 * m)
-    flat[0::2] = map(floordiv, keys, repeat(base))
-    flat[1::2] = map(mod, keys, repeat(base))
-    return "\n".join([line] * m) % tuple(flat)
+
+    def endpoints(part):
+        flat = [0] * (2 * len(part))
+        flat[0::2] = map(floordiv, part, repeat(base))
+        flat[1::2] = map(mod, part, repeat(base))
+        return tuple(flat)
+
+    return _lines(line, keys, endpoints)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -531,8 +550,11 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def to_dot(g: Graph) -> str:
+    """g in DOT: one line per vertex, then one per edge in sorted order,
+    each group written in slices as _edge_lines writes edges."""
     lines = ["graph {"]
-    lines.extend(f"  {v};" for v in range(1, g.n + 1))
+    if g.n:
+        lines.append(_lines("  %d;", range(1, g.n + 1), tuple))
     edges = _edge_lines(g, "  %d -- %d;")
     if edges:
         lines.append(edges)

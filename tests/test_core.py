@@ -134,6 +134,10 @@ def test_invalid_lettering_messages():
         (lambda: Decoder(2, [5]), "decoder pair 5 is not a pair of letters"),
         (lambda: Decoder(2, [(1, 2, 3)]), "decoder pair (1, 2, 3) is not a pair of letters"),
         (lambda: Decoder(2, frozenset({(1,)})), "decoder pair (1,) is not a pair of letters"),
+        # A string or bytes would unpack into two letters; it is no pair.
+        (lambda: Decoder(2, ["12"]), "decoder pair '12' is not a pair of letters"),
+        (lambda: Decoder(2, [b"12"]), "decoder pair b'12' is not a pair of letters"),
+        (lambda: Decoder(2, frozenset({"12"})), "decoder pair '12' is not a pair of letters"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidLetteringError) as info:

@@ -1,5 +1,6 @@
 """Graph builders, recognizers, isomorphism, and edge-list / DOT output."""
 
+import pickle
 import random
 
 import pytest
@@ -133,6 +134,10 @@ def test_graph_rejects_bad_edges():
         ([(1, 2, 3)], "edge (1, 2, 3) is not a pair of vertices"),
         ([1], "edge 1 is not a pair of vertices"),
         (frozenset({(1,)}), "edge (1,) is not a pair of vertices"),
+        # A string or bytes would unpack into two vertices; it is no edge.
+        (["12"], "edge '12' is not a pair of vertices"),
+        ([b"12"], "edge b'12' is not a pair of vertices"),
+        (frozenset({"12"}), "edge '12' is not a pair of vertices"),
     ):
         with pytest.raises(ValueError) as info:
             Graph(3, edges)
@@ -449,6 +454,42 @@ def test_edge_list_and_dot_are_the_sorted_edge_set():
         for h in (g, twin):
             assert serialize_edge_list(h) == text
             assert to_dot(h) == dot
+
+
+def test_range_builders_match_their_edge_set_twins():
+    # path_graph and matching_graph keep two ranges of endpoints; each must
+    # behave as the same edges handed to Graph, also at edge counts around
+    # the writers' 4096-line slices.
+    def check(g, edges, small):
+        twin = Graph(g.n, edges)
+        assert g.edges == edges
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == twin and copy.edges == edges
+        assert [g.degree(v) for v in range(1, g.n + 1)] == [twin.degree(v) for v in range(1, g.n + 1)]
+        for u, v in ((1, 2), (1, 3), (2, 3), (g.n - 1, g.n), (1, g.n), (4095, 4096), (4096, 4097), (4097, 4098)):
+            if 1 <= u < v <= g.n:
+                assert g.has_edge(u, v) == g.has_edge(v, u) == ((u, v) in edges)
+        if small:
+            assert g.adjacency_masks() == twin.adjacency_masks()
+        assert is_path(g) == is_path(twin)
+        assert is_matching(g) == is_matching(twin)
+        assert g._shape() == twin._shape()  # recorded by the builder, walked on the twin
+        ordered = sorted(edges)
+        text = "\n".join([f"{g.n} {len(edges)}", *(f"{u} {v}" for u, v in ordered)])
+        dot = "\n".join(
+            ["graph {", *(f"  {v};" for v in range(1, g.n + 1)),
+             *(f"  {u} -- {v};" for u, v in ordered), "}"]
+        )
+        for h in (g, twin):
+            assert serialize_edge_list(h) == text
+            assert to_dot(h) == dot
+
+    for m in (1, 2, 3, 4, 5, 4095, 4096, 4097, 8193):
+        small = m <= 5
+        check(path_graph(m + 1), frozenset((i, i + 1) for i in range(1, m + 1)), small)
+        check(matching_graph(m), frozenset((2 * i - 1, 2 * i) for i in range(1, m + 1)), small)
+    check(path_graph(1), frozenset(), True)
 
 
 def test_parse_edge_list_errors():

@@ -20,6 +20,8 @@ from lettergraphs import (
     matching_graph,
     path_graph,
     path_lettering,
+    serialize_edge_list,
+    to_dot,
     verify_lettering,
 )
 from lettergraphs.cli import main
@@ -150,6 +152,25 @@ def test_format_lettering_holds_no_string_per_letter():
     lt = path_lettering(300_000)
     size = len(format_lettering(lt))
     assert peak_bytes(format_lettering, lt) < 4 * size
+
+
+def test_builders_hold_no_list_per_vertex():
+    # path_graph and matching_graph keep their endpoints as two ranges:
+    # a few hundred bytes, where two endpoint lists took 80 MB and 40 MB.
+    assert peak_bytes(path_graph, 10**6) < 10_000
+    assert peak_bytes(matching_graph, 5 * 10**5) < 10_000
+
+
+def test_writers_hold_no_string_per_line():
+    # The edge and vertex lines are written and joined in slices of 4096:
+    # on a decoded 100k-vertex path, serialize_edge_list peaks near 5.7
+    # times its 1.2 MB text (13.6 times with one tuple of all endpoints)
+    # and to_dot near 3.3 times its 2.7 MB text (8.8 times with one string
+    # per vertex).
+    lt = path_lettering(100_000)
+    g = decode(Lettering(lt.word, lt.decoder))
+    assert peak_bytes(serialize_edge_list, g) < 7 * len(serialize_edge_list(g))
+    assert peak_bytes(to_dot, g) < 4 * len(to_dot(g))
 
 
 def test_path_lettering_memory_grows_linearly():

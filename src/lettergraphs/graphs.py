@@ -11,21 +11,23 @@ use and cached on the graph:
 - small exact search (the solver, are_isomorphic, the audits) reads n-bit
   neighbor masks from adjacency_masks(); their size is quadratic in n,
   which is harmless below the search bounds;
-- long words keep their edges as two flat endpoint sequences: the lists
-  decode fills, or the two ranges path_graph and matching_graph keep, so
-  those builders hold nothing per vertex. One shape pass reads degree and
-  neighbor-XOR lists derived from them and keeps only the component
-  lengths of a graph of maximum degree 2, split into paths and cycles, so
-  recognizing and certifying a decoded path stays linear in its size and
-  keeps nothing per edge or vertex. path_graph and matching_graph record
-  their shape when they build the graph. degree() keeps the degree list,
-  and is_matching reads one set of the endpoints, which also decides the
-  shape of a perfect matching without a walk;
+- long words keep their edges as two flat endpoint sequences sorted by
+  (tail, head): the lists decode fills, or the two ranges path_graph and
+  matching_graph keep, so those builders hold nothing per vertex. One
+  shape pass reads degree and neighbor-XOR lists derived from them and
+  keeps only the component lengths of a graph of maximum degree 2, split
+  into paths and cycles, so recognizing and certifying a decoded path
+  stays linear in its size and keeps nothing per edge or vertex.
+  path_graph and matching_graph record their shape when they build the
+  graph. degree() keeps the degree list, and is_matching reads one set
+  of the endpoints, which also decides the shape of a perfect matching
+  without a walk;
 - the edge set itself, a frozenset of (u, v) tuples, is built only when a
   caller reads Graph.edges, compares or hashes the graph, or asks
-  has_edge. The edge-list and DOT writers sort integer keys instead, and
-  write and join their lines in slices of 4096, so only one slice's lines
-  are held as separate strings.
+  has_edge. The edge-list and DOT writers print sorted endpoint
+  sequences as they are, and sort an edge set once; they write and join
+  their lines in slices of 4096, so only one slice's lines are held as
+  separate strings.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -35,9 +37,8 @@ module.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, repeat
-from operator import add, floordiv, mod, mul
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .errors import CapabilityError, ParseError
 
@@ -187,9 +188,11 @@ class Graph(Record):
         """Graph whose edges are (tails[i], heads[i]), kept as these two
         sequences of equal length: decode's lists, or the builders' ranges.
 
-        Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n and
-        no repeated pair, and never writes to the sequences afterwards. It
-        passes the value _shape() would compute if it knows it.
+        Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n, no
+        repeated pair and the pairs in increasing (tail, head) order, which
+        the writers print as they are, and never writes to the sequences
+        afterwards. It passes the value _shape() would compute if it knows
+        it.
         """
         g = object.__new__(cls)
         g._init(n, None, (tails, heads), shape)
@@ -511,36 +514,33 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _lines(line: str, keys: Sequence[int], fields: Callable[[Sequence[int]], tuple]) -> str:
-    """One line % fields(part) per key, joined by newlines, where part runs
-    over slices of 4096 keys, as format_lettering joins a word: only one
-    slice's lines are held as separate values at a time. fields(part) is
-    the flat tuple of the slice's line values."""
-    parts = (keys[i : i + 4096] for i in range(0, len(keys), 4096))
-    return "\n".join(["\n".join([line] * len(part)) % fields(part) for part in parts])
+def _lines(line: str, columns: Sequence[Sequence[int]]) -> str:
+    """One line % values per row of the columns, joined by newlines, where
+    the rows run in slices of 4096, as format_lettering joins a word: only
+    one slice's lines are held as separate values at a time. Each slice is
+    written by one % call on the flat values of its rows."""
+    size = len(columns[0])
+    width = len(columns)
+    parts = []
+    for start in range(0, size, 4096):
+        rows = min(4096, size - start)
+        flat = [0] * (width * rows)
+        for c, column in enumerate(columns):
+            flat[c::width] = column[start : start + rows]
+        parts.append("\n".join([line] * rows) % tuple(flat))
+    return "\n".join(parts)
 
 
 def _edge_lines(g: Graph, line: str) -> str:
     """The edges in sorted order, each written as line % (u, v), joined by
     newlines; empty without edges.
 
-    Sorts the integer keys u * (n + 1) + v once, which order as the (u, v)
-    pairs do but compare faster than tuples, and writes the lines in slices
-    of 4096 keys, each with one % call on the flat endpoints of its slice.
+    Endpoint sequences are sorted by (tail, head) already, so they are
+    written as they are; an edge set is sorted once and unzipped.
     """
     if not g._size():
         return ""
-    tails, heads = g._ends or zip(*g._edges)
-    base = g.n + 1
-    keys = sorted(map(add, map(mul, tails, repeat(base)), heads))
-
-    def endpoints(part):
-        flat = [0] * (2 * len(part))
-        flat[0::2] = map(floordiv, part, repeat(base))
-        flat[1::2] = map(mod, part, repeat(base))
-        return tuple(flat)
-
-    return _lines(line, keys, endpoints)
+    return _lines(line, g._ends or [*zip(*sorted(g._edges))])
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -554,7 +554,7 @@ def to_dot(g: Graph) -> str:
     each group written in slices as _edge_lines writes edges."""
     lines = ["graph {"]
     if g.n:
-        lines.append(_lines("  %d;", range(1, g.n + 1), tuple))
+        lines.append(_lines("  %d;", [range(1, g.n + 1)]))
     edges = _edge_lines(g, "  %d -- %d;")
     if edges:
         lines.append(edges)

@@ -138,6 +138,10 @@ def test_invalid_lettering_messages():
         (lambda: Decoder(2, ["12"]), "decoder pair '12' is not a pair of letters"),
         (lambda: Decoder(2, [b"12"]), "decoder pair b'12' is not a pair of letters"),
         (lambda: Decoder(2, frozenset({"12"})), "decoder pair '12' is not a pair of letters"),
+        # A set or a mapping has no order to read a pair from.
+        (lambda: Decoder(3, [{3, 1}]), "decoder pair {1, 3} is not a pair of letters"),
+        (lambda: Decoder(3, [frozenset({3, 1})]), "decoder pair frozenset({1, 3}) is not a pair of letters"),
+        (lambda: Decoder(3, [{1: "x", 2: "y"}]), "decoder pair {1: 'x', 2: 'y'} is not a pair of letters"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidLetteringError) as info:
@@ -300,7 +304,8 @@ def test_unused_decoder_letters_do_not_count():
     assert decode(lt).edges == frozenset()
 
 
-@given(st.one_of(letterings(), sparse_letterings()))
+# Long words too, so decode walks chains of many positions per letter.
+@given(st.one_of(letterings(), sparse_letterings(), letterings(max_n=150), sparse_letterings(max_n=150)))
 def test_decode_matches_definition(lt):
     w, pairs = lt.word, lt.decoder.pairs
     expect = {
@@ -309,7 +314,10 @@ def test_decode_matches_definition(lt):
         for j in range(i + 1, len(w) + 1)
         if (w[i - 1], w[j - 1]) in pairs
     }
-    assert decode(lt).edges == expect
+    g = decode(lt)
+    assert g.edges == expect
+    # The endpoint lists are sorted by (tail, head), as the writers print.
+    assert list(zip(*g._ends)) == sorted(g.edges)
 
 
 @given(letterings())

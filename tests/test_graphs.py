@@ -432,8 +432,9 @@ def test_edge_list_round_trip_random(g):
 
 
 def test_edge_list_and_dot_are_the_sorted_edge_set():
-    # The writers sort integer keys rather than edge tuples; their bytes
-    # must be those written from sorted(g.edges), on both representations.
+    # The writers print endpoint sequences as they are and sort an edge
+    # set; their bytes must be those written from sorted(g.edges), on both
+    # representations.
     rng = random.Random(5)
     for _ in range(300):
         n = rng.choice([0, 1, 2, rng.randrange(3, 20), rng.randrange(20, 400)])
@@ -442,10 +443,8 @@ def test_edge_list_and_dot_are_the_sorted_edge_set():
             (u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < p
         )
         g = Graph(n, edges)
-        pairs = list(edges)
-        rng.shuffle(pairs)  # decode's endpoint order is no sorted order either
-        twin = Graph._from_endpoints(n, [u for u, _ in pairs], [v for _, v in pairs])
-        ordered = sorted(edges)
+        ordered = sorted(edges)  # endpoint sequences are sorted, as decode's are
+        twin = Graph._from_endpoints(n, [u for u, _ in ordered], [v for _, v in ordered])
         text = "\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in ordered)])
         dot = "\n".join(
             ["graph {", *(f"  {v};" for v in range(1, n + 1)),
@@ -463,6 +462,7 @@ def test_range_builders_match_their_edge_set_twins():
     def check(g, edges, small):
         twin = Graph(g.n, edges)
         assert g.edges == edges
+        assert list(zip(*g._ends)) == sorted(edges)  # the endpoint contract
         assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
         copy = pickle.loads(pickle.dumps(g))
         assert copy == twin and copy.edges == edges

@@ -100,12 +100,16 @@ def test_graph_keeps_a_normalized_edge_set():
 
 def test_decode_holds_no_tuple_per_edge():
     # A decoded graph keeps flat endpoint lists and builds its edge set of
-    # tuples only when asked, and decode links positions in two flat lists
-    # instead of a list per letter: decoding a 16k-vertex path peaks near
-    # 1.12 MB, 1.5 MB with a list per letter and 2.8 MB with a tuple per
-    # edge in a frozenset. The 8000-edge canonical matching word, two
-    # positions per letter, peaks near 1.13 MB, and 1.83 MB with a list per
-    # letter.
+    # tuples only when asked. decode links each position to the previous
+    # one of its letter in one flat list, prev, whose ints and the endpoint
+    # lists' are those of one shared list of positions, and a letter that
+    # leads one decoder pair keeps its successor as an int: decoding a
+    # 16k-vertex path peaks near 1.13 MB, 1.46 MB with a successor list for
+    # every letter, 1.5 MB with a list of positions per letter and 2.8 MB
+    # with a tuple per edge in a frozenset. The 8000-edge canonical
+    # matching word, two positions per letter, peaks near 1.22 MB, 1.64 MB
+    # with a successor list for every letter and 1.83 MB with a list of
+    # positions per letter.
     # path_lettering has decoded its own lettering, and decode keeps that
     # graph, so each check decodes a fresh lettering of the same word.
     lt = path_lettering(16000)
@@ -162,15 +166,22 @@ def test_builders_hold_no_list_per_vertex():
 
 
 def test_writers_hold_no_string_per_line():
-    # The edge and vertex lines are written and joined in slices of 4096:
-    # on a decoded 100k-vertex path, serialize_edge_list peaks near 5.7
-    # times its 1.2 MB text (13.6 times with one tuple of all endpoints)
-    # and to_dot near 3.3 times its 2.7 MB text (8.8 times with one string
-    # per vertex).
+    # The edge and vertex lines are written and joined in slices of 4096,
+    # and sorted endpoint sequences are written as they are: on a decoded
+    # 100k-vertex path, serialize_edge_list peaks near 2.0 times its 1.2 MB
+    # text (5.7 times when it sorted packed integer keys, 13.6 times with
+    # one tuple of all endpoints) and to_dot near 2.0 times its 2.7 MB text
+    # (3.3 and 8.8 times). The range-backed path_graph writes alike. The
+    # same edges as an edge set are sorted and unzipped first: near 6.8
+    # and 3.3 times.
     lt = path_lettering(100_000)
     g = decode(Lettering(lt.word, lt.decoder))
-    assert peak_bytes(serialize_edge_list, g) < 7 * len(serialize_edge_list(g))
-    assert peak_bytes(to_dot, g) < 4 * len(to_dot(g))
+    for h in (g, path_graph(100_000)):
+        assert peak_bytes(serialize_edge_list, h) < 3 * len(serialize_edge_list(h))
+        assert peak_bytes(to_dot, h) < 3 * len(to_dot(h))
+    edge_set = Graph(g.n, g.edges)
+    assert peak_bytes(serialize_edge_list, edge_set) < 8 * len(serialize_edge_list(edge_set))
+    assert peak_bytes(to_dot, edge_set) < 4 * len(to_dot(edge_set))
 
 
 def test_path_lettering_memory_grows_linearly():

@@ -6,6 +6,13 @@ and path-checked before being returned, so a successful call is its own
 certificate. The decoded graph stays on the returned lettering together
 with its shape (one path on n vertices), so a later decode or
 verify_lettering of it neither decodes the word nor walks the graph again.
+
+The builders make their words and decoders from range, already in the
+normalized form Decoder and Lettering would check their input into (int
+letters in 1..k, a frozenset of (int, int) pairs), so they build both
+through Record._of and skip those checks; they are the only callers of
+Record._of. The tests rebuild their letterings through the checked
+constructors and compare.
 """
 
 from __future__ import annotations
@@ -52,16 +59,14 @@ def path_lettering(n: int) -> Lettering:
     # letters[j] is j: every occurrence of a letter and its decoder pairs
     # share one int object.
     letters = list(range(r + 2))
-    word = [2, 1]
-    # the blocks (j+1, j, j-1) for j = 2..r
-    word += chain.from_iterable(zip(letters[3:], letters[2 : r + 1], letters[1:r]))
-    word += (letters[r + 1], letters[r])
-    if n <= 3 * r:
-        del word[1]  # the first occurrence of 1
-    if n == 3 * r - 1:
-        del word[-2]  # the last occurrence of r+1
-    decoder = Decoder(r + 1, frozenset(zip(letters[2:], letters[1:])))
-    lettering = Lettering(tuple(word), decoder)
+    # head leaves out the first occurrence of 1 for n = 3r, tail the last
+    # occurrence of r+1 for n = 3r-1; between them, the blocks
+    # (j+1, j, j-1) for j = 2..r.
+    head = (2, 1) if n > 3 * r else (2,)
+    tail = (letters[r],) if n == 3 * r - 1 else (letters[r + 1], letters[r])
+    blocks = chain.from_iterable(zip(letters[3:], letters[2 : r + 1], letters[1:r]))
+    decoder = Decoder._of(r + 1, frozenset(zip(letters[2:], letters[1:])))
+    lettering = Lettering._of(tuple(chain(head, blocks, tail)), decoder)
     g = decode(lettering)
     if g.n != n or g._shape() != _path_shape(n):
         raise RuntimeError(f"internal error: constructed word for n={n} is not a path")
@@ -76,7 +81,7 @@ def matching_base_lettering(r: int) -> Lettering:
         raise ValueError(f"need r >= 1, got {r}")
     letters = list(range(r + 2))
     pairs = list(zip(letters[2:], letters[1:]))  # block j is the pair (j+1, j)
-    return Lettering(tuple(chain.from_iterable(pairs)), Decoder(r + 1, frozenset(pairs)))
+    return Lettering._of(tuple(chain.from_iterable(pairs)), Decoder._of(r + 1, frozenset(pairs)))
 
 
 def matching_canonical_lettering(r: int) -> Lettering:
@@ -87,4 +92,4 @@ def matching_canonical_lettering(r: int) -> Lettering:
         raise ValueError(f"need r >= 1, got {r}")
     letters = list(range(1, r + 1))
     pairs = list(zip(letters, letters))  # letter a's block is the pair (a, a)
-    return Lettering(tuple(chain.from_iterable(pairs)), Decoder(r, frozenset(pairs)))
+    return Lettering._of(tuple(chain.from_iterable(pairs)), Decoder._of(r, frozenset(pairs)))

@@ -22,7 +22,7 @@ so building a lettering copies neither.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, Sequence, Set
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 
@@ -84,7 +84,7 @@ class Lettering(Record):
 
     Equal, hashed, printed, copied and pickled by its word and decoder
     alone. decode keeps the lettering's graph in the _graph slot after the
-    first call; that graph is not a field.
+    first call; that graph is not a field, and the slot is unset before.
     """
 
     __slots__ = ("word", "decoder", "_graph")
@@ -112,7 +112,6 @@ class Lettering(Record):
                         f"letter {a} at position {i} exceeds decoder alphabet 1..{k}"
                     )
         Record.__init__(self, w, decoder)
-        object.__setattr__(self, "_graph", None)  # the decoded graph, set by decode on first use
 
     @property
     def alphabet_size(self) -> int:
@@ -134,7 +133,7 @@ def decode(lettering: Lettering) -> Graph:
     return the same Graph object, which is safe because lettering and
     graph are both immutable.
     """
-    g = lettering._graph
+    g = getattr(lettering, "_graph", None)
     if g is not None:
         return g
     w = lettering.word
@@ -306,18 +305,19 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
 
 
 def format_lettering(lettering: Lettering) -> str:
-    word = lettering.word
-    # Joined from slices of 4096 letters, so only one slice's letters are
-    # held as separate strings at a time.
-    w = ",".join([",".join(map(str, word[i : i + 4096])) for i in range(0, len(word), 4096)])
-    d = ",".join(f"{a}:{b}" for a, b in sorted(lettering.decoder.pairs))
-    return "\n".join(
-        [
-            f"k {lettering.decoder.alphabet_size}",
-            f"w {w}" if w else "w",
-            f"D {d}" if d else "D",
-        ]
-    )
+    parts = [f"k {lettering.decoder.alphabet_size}\nw"]
+    _write_slices(parts, lettering.word, str)
+    parts.append("\nD")
+    _write_slices(parts, sorted(lettering.decoder.pairs), "%d:%d".__mod__)
+    return "".join(parts)
+
+
+def _write_slices(parts: list[str], values: Sequence, write) -> None:
+    # Appends a space and the values, each written by write and separated
+    # by commas, in slices of 4096 values: only one slice's strings are
+    # held apart at a time, and format_lettering joins its lines once.
+    for i in range(0, len(values), 4096):
+        parts += ("," if i else " ", ",".join(map(write, values[i : i + 4096])))
 
 
 def _line_payload(lines: list[str], line_no: int, tag: str) -> str:

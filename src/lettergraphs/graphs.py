@@ -78,9 +78,10 @@ class Record:
     the fields in order, by position or by keyword, and raises TypeError
     for an argument missing, extra, unknown or given twice; a subclass
     that normalizes or checks its input does so in its own __init__ and
-    ends with Record.__init__. Assigning or deleting an attribute
-    afterwards raises AttributeError; a cache slot is set through
-    object.__setattr__.
+    ends with Record.__init__. _of is the second constructor, which skips
+    those checks; only the closed-form builders in constructions call it.
+    Assigning or deleting an attribute afterwards raises AttributeError; a
+    cache slot is set through object.__setattr__.
     """
 
     __slots__ = ()
@@ -92,6 +93,21 @@ class Record:
             args = self._bind(args, kwargs)
         for field, value in zip(fields, args):
             object.__setattr__(self, field, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """Record holding the field values as given, without the checks or
+        the normalization of cls.__init__; a cache slot starts unset.
+
+        Unchecked: the caller guarantees the exact normalized form the
+        checked constructor would leave, such as a tuple of int letters in
+        1..k for a word and a frozenset of (int, int) tuples in 1..k for
+        decoder pairs. Pickling and copying still rebuild through the
+        checked constructor.
+        """
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
 
     def _bind(self, args: tuple, kwargs: dict) -> tuple:
         # The field values in order from a call that is not plainly

@@ -1,5 +1,9 @@
 """Closed-form path and matching letterings."""
 
+import copy
+import pickle
+from itertools import chain
+
 import pytest
 
 from lettergraphs import (
@@ -191,3 +195,22 @@ def test_matching_letterings_reject_bad_r():
         matching_base_lettering(0)
     with pytest.raises(ValueError):
         matching_canonical_lettering(-1)
+
+
+def test_builders_agree_with_the_checked_constructors():
+    # The builders make their letterings through Record._of, unchecked; each
+    # must be what the checked constructors leave for the same values, and
+    # the unset graph slot must still cache the decoding.
+    letterings = [path_lettering(n) for n in (*range(3, 301), 4095, 4096, 16000)]
+    for r in range(1, 301):
+        letterings += (matching_base_lettering(r), matching_canonical_lettering(r))
+    for lt in letterings:
+        checked = Lettering(lt.word, Decoder(lt.decoder.alphabet_size, lt.decoder.pairs))
+        assert checked == lt and hash(checked) == hash(lt)
+        assert type(lt.word) is tuple and type(lt.decoder.pairs) is frozenset
+        assert all(type(p) is tuple and len(p) == 2 for p in lt.decoder.pairs)
+        assert all(type(a) is int for a in chain(lt.word, *lt.decoder.pairs))
+        assert type(lt.decoder.alphabet_size) is int
+        assert pickle.loads(pickle.dumps(lt)) == lt
+        assert copy.copy(lt) == lt
+        assert decode(lt) is decode(lt)

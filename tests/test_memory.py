@@ -150,12 +150,14 @@ def test_lettering_keeps_a_normalized_word_and_decoder():
 
 
 def test_format_lettering_holds_no_string_per_letter():
-    # The word line is joined from slices of letters: formatting a
-    # 300,000-vertex path lettering peaks near 3.3 times its 2.9 MB text,
-    # and near 7.0 times with one string per letter.
+    # The word and decoder lines are written in slices of letters and
+    # pairs, and the text is joined once: formatting a 300,000-vertex path
+    # lettering peaks near 2.0 times its 2.9 MB text, 3.3 times with one
+    # string per decoder pair and each line copied into the text, and near
+    # 7.0 times with one string per letter as well.
     lt = path_lettering(300_000)
     size = len(format_lettering(lt))
-    assert peak_bytes(format_lettering, lt) < 4 * size
+    assert peak_bytes(format_lettering, lt) < 2.5 * size
 
 
 def test_builders_hold_no_list_per_vertex():
@@ -191,6 +193,21 @@ def test_path_lettering_memory_grows_linearly():
     assert large < 2.5 * small
 
 
+def test_path_lettering_peaks_near_what_it_keeps():
+    # The word goes straight into a tuple, and the decoder and lettering
+    # are built without a second pass of input checks: the call peaks near
+    # 1.31 times what it keeps (the lettering and its decoded graph), and
+    # near 1.39 times with a word list and the checked constructors.
+    tracemalloc.start()
+    try:
+        lt = path_lettering(100_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del lt
+    assert peak < 1.35 * kept
+
+
 def test_over_bound_cli_target_is_not_built(capsys):
     # A million-vertex target would take hundreds of MB; the bound is
     # checked on the requested size before any graph exists.
@@ -202,7 +219,7 @@ def test_over_bound_cli_target_is_not_built(capsys):
 
 
 def test_over_bound_path_request_is_not_built(capsys):
-    # path 1000000 --verify peaks near 162 MB max RSS and grows linearly,
+    # path 1000000 --verify peaks near 154 MB max RSS and grows linearly,
     # so path 100000000 would try to build about 16 GB; the bound is
     # checked on N before any word exists.
     for argv in (["path", "1000001"], ["path", "100000000", "--verify"]):

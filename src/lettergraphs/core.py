@@ -10,7 +10,11 @@ decode hands the graph its edges as two endpoint lists already sorted by
 (tail, head). It links each position to the previous position of its
 letter in one pass, then walks those links back from the end of the word,
 so its work follows the word length, the decoder size and the edge
-count.
+count. Its letter tables, each letter's last position and successors, are
+lists indexed by letter; when the alphabet is larger than the word, the
+word's letters are first renumbered in order of first use, so the tables
+never hold more entries than the word has positions plus one, whatever
+the alphabet size.
 
 Words and decoders are immutable, and so is the graph a lettering decodes
 to: decode computes it on a lettering's first call and returns that same
@@ -23,8 +27,7 @@ so building a lettering copies neither.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence, Set
-from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from itertools import chain, count, islice
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
 from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _integer, are_isomorphic
@@ -126,8 +129,12 @@ def decode(lettering: Lettering) -> Graph:
     The edges are handed to the graph as two flat endpoint lists sorted by
     (tail, head), the order the writers print; the graph builds its edge
     set from them only if asked. _sorted_ends finds them through links
-    between the positions of each letter, in O(n + |D| + edges) work,
-    never growing with the alphabet size.
+    between the positions of each letter, in O(n + |D| + edges) work, and
+    reads each letter's last position and successors from lists indexed
+    by letter. Those hold at most n + 1 entries: an alphabet larger than
+    the word is renumbered by first use, dropping the decoder pairs that
+    name a letter absent from the word, so neither work nor memory grows
+    with the alphabet size.
 
     The graph is computed once per lettering and kept on it: later calls
     return the same Graph object, which is safe because lettering and
@@ -137,62 +144,72 @@ def decode(lettering: Lettering) -> Graph:
     if g is not None:
         return g
     w = lettering.word
-    g = Graph._from_endpoints(len(w), *_sorted_ends(w, lettering.decoder.pairs))
+    d = lettering.decoder
+    g = Graph._from_endpoints(len(w), *_sorted_ends(w, d.pairs, d.alphabet_size))
     object.__setattr__(lettering, "_graph", g)
     return g
 
 
-def _sorted_ends(w: Word, pairs) -> tuple[list[int], list[int]]:
-    """decode's endpoint lists, sorted by (tail, head).
+def _sorted_ends(w: Word, pairs, k: int) -> tuple[list[int], list[int]]:
+    """decode's endpoint lists, sorted by (tail, head); every letter of the
+    word and of the decoder pairs lies in 1..k.
+
+    The letter tables are lists indexed by letter, of k + 1 entries. When k
+    exceeds the word length, the word's letters are first renumbered
+    1..d in order of first use and the pairs that name a letter absent
+    from the word are dropped, so the tables never hold more than n + 1
+    entries, whatever k is.
 
     One pass over the word links each position i to prev[i], the previous
     position of its letter (0 at the letter's first position), and finds
-    each letter's last position. Each decoder pair (a, b) gives letter a
-    the last position of b (0 if b does not occur): an int when a leads one
-    pair, else a list in descending order. A reverse pass over the
-    positions i = n..1 walks down prev from each of these positions for
-    the letter at i while the position lies past i, and a list stops at
-    its first entry that does not, so every successor visited yields an
-    edge; the heads of a tail whose letter leads several pairs are sorted.
-    The heads of each tail come out in descending order, so reversing the
-    two lists leaves the edges sorted by (tail, head).
+    each letter's last position. Each decoder pair (a, b) whose letter b
+    occurs gives letter a the last position of b as a successor: an int
+    when a leads one such pair, else a list in descending order. A reverse
+    pass over the positions i = n..1 walks down prev from each of these
+    positions for the letter at i while the position lies past i, and a
+    list stops at its first entry that does not, so every successor
+    visited yields an edge; the heads of a tail whose letter leads several
+    pairs are sorted. The heads of each tail come out in descending order,
+    so reversing the two lists leaves the edges sorted by (tail, head).
     """
     n = len(w)
+    if k > n:
+        ids = dict(zip(dict.fromkeys(w), count(1)))
+        w = [*map(ids.__getitem__, w)]
+        pairs = [(ids[a], ids[b]) for a, b in pairs if a in ids and b in ids]
+        k = len(ids)
     # One int per position, read by both passes, so prev and the endpoint
     # lists share these objects instead of each making its own. count makes
     # smaller ints than range does: 28 bytes each against 32 (tracemalloc),
     # and path 1000000 --verify read 172.5 MB max RSS with range's.
     positions = [*islice(count(1), n)]
     prev = [0] * (n + 1)
-    last: dict[int, int] = {}
+    last = [0] * (k + 1)
     for i, a in zip(positions, w):
-        prev[i] = last.get(a, 0)
+        prev[i] = last[a]
         last[a] = i
-    # Read before last is freed, so that it and succ are never held
-    # together.
-    ends = [last.get(b, 0) for _, b in pairs]
-    del last
-    # An int, not a one-entry list, for a letter that leads one pair: a
-    # list for every letter decoded a 16k path in 8.7 ms against 4.5 ms,
-    # peaking at 1.46 MB against 1.13 MB.
-    succ: dict[int, int | list[int]] = dict(zip(map(itemgetter(0), pairs), ends))
-    if len(succ) < len(ends):  # some letter leads several pairs
-        succ = {}
-        for (a, _), j in zip(pairs, ends):
-            s = succ.get(a)
-            if s is None:
+    # 0 for a letter with no successor. An int, not a one-entry list, for a
+    # letter that leads one pair: a list for every letter decoded a 16k
+    # path in 8.7 ms against 4.5 ms, peaking at 1.46 MB against 1.13 MB.
+    succ: list[int | list[int]] = [0] * (k + 1)
+    several = []  # the successor lists
+    for a, b in pairs:
+        j = last[b]
+        if j:
+            s = succ[a]
+            if not s:
                 succ[a] = j
             elif type(s) is int:
-                succ[a] = [s, j]
+                succ[a] = s = [s, j]
+                several.append(s)
             else:
                 s.append(j)
-        for s in succ.values():
-            if type(s) is list:
-                s.sort(reverse=True)
-    del ends
+    del last
+    for s in several:
+        s.sort(reverse=True)
     tails: list[int] = []
     heads: list[int] = []
-    for i, s in zip(reversed(positions), map(succ.get, reversed(w), repeat(0))):
+    for i, s in zip(reversed(positions), map(succ.__getitem__, reversed(w))):
         if type(s) is int:
             while s > i:
                 tails.append(i)

@@ -17,17 +17,18 @@ use and cached on the graph:
   shape pass reads degree and neighbor-XOR lists derived from them and
   keeps only the component lengths of a graph of maximum degree 2, split
   into paths and cycles, so recognizing and certifying a decoded path
-  stays linear in its size and keeps nothing per edge or vertex.
+  stays linear in its size and keeps nothing per edge or vertex; a path
+  is certified by one walk from its first end.
   path_graph and matching_graph record their shape when they build the
   graph. degree() keeps the degree list, and is_matching reads one set
   of the endpoints, which also decides the shape of a perfect matching
   without a walk;
 - the edge set itself, a frozenset of (u, v) tuples, is built only when a
-  caller reads Graph.edges, compares or hashes the graph, or asks
-  has_edge. The edge-list and DOT writers print sorted endpoint
-  sequences as they are, and sort an edge set once; they write and join
-  their lines in slices of 4096, so only one slice's lines are held as
-  separate strings.
+  caller reads Graph.edges or compares or hashes the graph; has_edge
+  bisects sorted endpoint sequences instead. The edge-list and DOT
+  writers print sorted endpoint sequences as they are, and sort an edge
+  set once; they write and join their lines in slices of 4096, so only
+  one slice's lines are held as separate strings.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -36,6 +37,7 @@ module.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import chain
@@ -301,8 +303,15 @@ class Graph(Record):
         return deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._vertex(u), self._vertex(v)
-        return (min(u, v), max(u, v)) in self.edges
+        u, v = sorted((self._vertex(u), self._vertex(v)))
+        if self._edges is not None:
+            return (u, v) in self._edges
+        # Sorted endpoints: bisect the tails for u's run, then its heads.
+        tails, heads = self._ends
+        lo = bisect_left(tails, u)
+        hi = bisect_right(tails, u, lo)
+        i = bisect_left(heads, v, lo, hi)
+        return i < hi and heads[i] == v
 
 
 def _path_shape(n: int):
@@ -315,7 +324,14 @@ def _walk_shape(g: Graph) -> tuple | None:
     from one of its edges, marking the visited vertices in a bytearray and
     keeping only the component sizes. A perfect matching, the paper's other
     family, is decided first by is_matching's one set test, which beats a
-    walk per two-vertex component."""
+    walk per two-vertex component.
+
+    A graph of maximum degree 2 with n - 1 edges has exactly one path
+    component, and cycles if that path misses some vertex. When the path
+    has ends (degree 1), one walk from the first of them, with no scan for
+    ends and no marks, decides the paper's main case: it covers all n
+    vertices exactly when the graph is P_n. Otherwise the general walks
+    run on the same degree and XOR lists."""
     if is_matching(g):
         m = g._size()
         return (((2, m),), ()) if m else ((), ())
@@ -323,6 +339,13 @@ def _walk_shape(g: Graph) -> tuple | None:
     if max(deg) > 2:
         return None
     n = g.n
+    if g._size() == n - 1 and 1 in deg:
+        prev, cur, size = 0, deg.index(1), 0
+        while cur:
+            prev, cur = cur, xor[cur] ^ prev
+            size += 1
+        if size == n:
+            return _path_shape(n)
     seen = bytearray(n + 1)
     paths = []
     for end in range(1, n + 1):

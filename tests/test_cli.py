@@ -52,6 +52,16 @@ def test_decode_explicit_alphabet_widens(capsys):
     assert rc == 0 and out == "2 0\n"
 
 
+def test_decode_letters_beyond_the_word_length(capsys):
+    # Letters larger than the word is long are renumbered inside decode;
+    # the output names positions only, so it is as for any other letters.
+    rc, out, err = run(
+        capsys, "decode", "--word", "1000000,1,1000000", "--decoder", "1000000:1,1:1000000", "--k", "1000000"
+    )
+    assert rc == 0 and err == ""
+    assert out == "3 2\n1 2\n2 3\n"
+
+
 def test_path_output(capsys):
     rc, out, _ = run(capsys, "path", "7")
     assert rc == 0

@@ -135,6 +135,42 @@ def test_is_path_reads_one_degree_pass(monkeypatch):
         assert walked == [g]
 
 
+def test_shape_of_one_path_and_cycles_falls_back_to_the_general_walk(monkeypatch):
+    # n - 1 edges and maximum degree 2 leave one path, and here cycles too:
+    # the walk from the path's first end misses the cycles (a one-vertex
+    # path has no end to walk from), and the general walks find the shape
+    # on the same degree and XOR lists, built once.
+    walked = []
+    degrees_and_xors = Graph._degrees_and_xors
+
+    def counting(g):
+        walked.append(g)
+        return degrees_and_xors(g)
+
+    monkeypatch.setattr(Graph, "_degrees_and_xors", counting)
+
+    def path_and_cycles(a, *cycles):
+        edges = {(i, i + 1) for i in range(1, a)}
+        start = a + 1
+        for b in cycles:
+            edges |= {(i, i + 1) for i in range(start, start + b - 1)} | {(start, start + b - 1)}
+            start += b
+        return Graph(start - 1, frozenset(edges))
+
+    path_plus_triangle = Graph(6, frozenset({(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)}))
+    for g, shape in (
+        (path_plus_triangle, (((3, 1),), ((3, 1),))),
+        (path_and_cycles(4, 5), (((4, 1),), ((5, 1),))),
+        (path_and_cycles(2, 3, 7, 3), (((2, 1),), ((3, 2), (7, 1)))),
+        (path_and_cycles(1000, 999), (((1000, 1),), ((999, 1),))),
+        (path_and_cycles(1, 4), (((1, 1),), ((4, 1),))),  # no vertex of degree 1
+    ):
+        assert g._size() == g.n - 1
+        walked.clear()
+        assert g._shape() == shape
+        assert walked == [g]
+
+
 def test_path_lettering_rejects_small_n():
     with pytest.raises(ValueError):
         path_lettering(2)

@@ -304,9 +304,7 @@ def test_unused_decoder_letters_do_not_count():
     assert decode(lt).edges == frozenset()
 
 
-# Long words too, so decode walks chains of many positions per letter.
-@given(st.one_of(letterings(), sparse_letterings(), letterings(max_n=150), sparse_letterings(max_n=150)))
-def test_decode_matches_definition(lt):
+def assert_decodes_by_definition(lt):
     w, pairs = lt.word, lt.decoder.pairs
     expect = {
         (i, j)
@@ -318,6 +316,30 @@ def test_decode_matches_definition(lt):
     assert g.edges == expect
     # The endpoint lists are sorted by (tail, head), as the writers print.
     assert list(zip(*g._ends)) == sorted(g.edges)
+
+
+# Long words too, so decode walks chains of many positions per letter.
+@given(st.one_of(letterings(), sparse_letterings(), letterings(max_n=150), sparse_letterings(max_n=150)))
+def test_decode_matches_definition(lt):
+    assert_decodes_by_definition(lt)
+
+
+# Letters larger than the word is long, which decode renumbers by first
+# use, dropping the pairs that name a letter absent from the word.
+BIG = 10**6
+LETTERS_BEYOND_THE_LENGTH = (
+    Lettering((BIG, 1, BIG), Decoder(BIG, {(BIG, 1), (1, BIG), (BIG, BIG)})),
+    # BIG - 1 leads five pairs, one of them to a letter the word lacks.
+    Lettering(
+        (BIG - 1, 5, BIG, BIG - 1, BIG, 5, BIG - 1),
+        Decoder(BIG, {(BIG - 1, 5), (BIG - 1, BIG), (BIG - 1, BIG - 1), (BIG - 1, 7), (5, BIG), (7, 5)}),
+    ),
+)
+
+
+@pytest.mark.parametrize("lt", LETTERS_BEYOND_THE_LENGTH)
+def test_decode_renumbers_letters_beyond_the_word_length(lt):
+    assert_decodes_by_definition(lt)
 
 
 @given(letterings())

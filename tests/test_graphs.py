@@ -20,9 +20,11 @@ from lettergraphs import (
     is_linear_forest,
     is_matching,
     is_path,
+    matching_canonical_lettering,
     matching_graph,
     parse_edge_list,
     path_graph,
+    path_lettering,
     serialize_edge_list,
     to_dot,
 )
@@ -59,12 +61,13 @@ def assert_same_graph(g, h):
     assert serialize_edge_list(g) == serialize_edge_list(h)
     assert to_dot(g) == to_dot(h)
     assert repr(g) == repr(h)
-    assert g == h and not g != h
-    assert hash(g) == hash(h) == hash((n, h.edges))
-    assert g.edges == h.edges and type(g.edges) is frozenset
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             assert g.has_edge(u, v) == h.has_edge(u, v)
+    assert g._edges is None  # has_edge bisects the endpoints
+    assert g == h and not g != h
+    assert hash(g) == hash(h) == hash((n, h.edges))
+    assert g.edges == h.edges and type(g.edges) is frozenset
 
 
 @given(random_letterings())
@@ -85,6 +88,25 @@ def test_builders_behave_as_their_edge_sets():
     for r in range(1, 15):
         edges = frozenset((2 * i - 1, 2 * i) for i in range(1, r + 1))
         assert_same_graph(matching_graph(r), Graph(2 * r, edges))
+
+
+def test_has_edge_bisects_sorted_endpoints():
+    # Long decoded and range-backed graphs answer has_edge from their
+    # sorted endpoints, in either order of the pair, as their edge-set twin
+    # does, and build no edge set: every edge, and the pairs one step off.
+    for g in (
+        decode(path_lettering(5000)),
+        decode(matching_canonical_lettering(2000)),
+        decode(Lettering((1, 2) * 60, Decoder(2, {(1, 2), (2, 1), (1, 1)}))),
+        path_graph(10_000),
+        matching_graph(5000),
+    ):
+        twin = Graph(g.n, frozenset(zip(*g._ends)))
+        for u, v in zip(*g._ends):
+            for a, b in ((u, v), (u, v + 1), (u, v - 1), (u - 1, v), (u + 1, v), (u + 1, v + 1)):
+                if 1 <= a <= g.n and 1 <= b <= g.n:
+                    assert g.has_edge(a, b) == g.has_edge(b, a) == twin.has_edge(a, b)
+        assert g._edges is None
 
 
 def test_builders_record_the_shape_they_build():

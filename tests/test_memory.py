@@ -41,6 +41,18 @@ def test_decode_memory_ignores_alphabet_size():
     assert peak_bytes(decode, lt) < 100_000
 
 
+def test_decode_memory_ignores_letter_values():
+    # decode's letter tables are lists indexed by letter; letters larger
+    # than the word is long are renumbered by first use first, so a table
+    # never has a million entries (8 MB) for a three-letter word.
+    big = 10**6
+    for lt in (
+        Lettering((big, 1, big), Decoder(big, {(big, 1), (1, big), (big, big)})),
+        Lettering((big - 1, 5, big, big - 1), Decoder(big, {(big - 1, 5), (big - 1, big), (big - 1, 7)})),
+    ):
+        assert peak_bytes(decode, lt) < 100_000
+
+
 def test_solver_memory_ignores_alphabet_size():
     assert peak_bytes(is_k_letterable, path_graph(3), 2000) < 1_000_000
 
@@ -102,30 +114,45 @@ def test_decode_holds_no_tuple_per_edge():
     # A decoded graph keeps flat endpoint lists and builds its edge set of
     # tuples only when asked. decode links each position to the previous
     # one of its letter in one flat list, prev, whose ints and the endpoint
-    # lists' are those of one shared list of positions, and a letter that
-    # leads one decoder pair keeps its successor as an int: decoding a
-    # 16k-vertex path peaks near 1.13 MB, 1.46 MB with a successor list for
-    # every letter, 1.5 MB with a list of positions per letter and 2.8 MB
-    # with a tuple per edge in a frozenset. The 8000-edge canonical
-    # matching word, two positions per letter, peaks near 1.22 MB, 1.64 MB
-    # with a successor list for every letter and 1.83 MB with a list of
-    # positions per letter.
+    # lists' are those of one shared list of positions; it keeps each
+    # letter's last position and successor in lists indexed by letter, and
+    # a letter that leads one decoder pair keeps its successor as an int:
+    # decoding a 16k-vertex path peaks near 1.02 MB, 1.13 MB with the two
+    # letter tables as dicts, 1.46 MB with a successor list for every
+    # letter, 1.5 MB with a list of positions per letter and 2.8 MB with a
+    # tuple per edge in a frozenset. The 8000-edge canonical matching word,
+    # two positions per letter, peaks near 0.90 MB, 1.22 MB with dict
+    # tables, 1.64 MB with a successor list for every letter and 1.83 MB
+    # with a list of positions per letter.
     # path_lettering has decoded its own lettering, and decode keeps that
     # graph, so each check decodes a fresh lettering of the same word.
     lt = path_lettering(16000)
-    assert peak_bytes(decode, Lettering(lt.word, lt.decoder)) < 1_200_000
+    assert peak_bytes(decode, Lettering(lt.word, lt.decoder)) < 1_100_000
     matching = matching_canonical_lettering(8000)
-    assert peak_bytes(decode, Lettering(matching.word, matching.decoder)) < 1_300_000
+    assert peak_bytes(decode, Lettering(matching.word, matching.decoder)) < 1_000_000
     # The path check reads flat degree and neighbor-XOR lists: about 1.75 MB
     # together with the decode, and 4.3 MB with a neighbor tuple per vertex.
     assert peak_bytes(lambda: is_path(decode(Lettering(lt.word, lt.decoder)))) < 2_500_000
 
 
+def test_has_edge_builds_no_edge_set():
+    # On sorted endpoints has_edge bisects the tails, then the heads of
+    # the tail's run: a thousand queries on a decoded 100k-vertex path
+    # peak near 9 kB, mostly the list of answers, where building the edge
+    # set for the first one took 10.6 MB.
+    g = decode(path_lettering(100_000))
+    pairs = [(u, v) for u in range(1, 100_000, 200) for v in (u + 1, u + 2)]
+    answers = []
+    assert peak_bytes(lambda: answers.extend(g.has_edge(v, u) for u, v in pairs)) < 20_000
+    assert g._edges is None
+    assert answers == [(u, v) in g.edges for u, v in pairs]
+
+
 def test_path_certificate_keeps_no_vertex_order():
     # The certificate asks the decoded graph's shape, which keeps only the
-    # component lengths: on a decoded 16k-vertex path the pass peaks near
-    # 0.35 MB and keeps under 200 bytes, where is_path's vertex order peaks
-    # near 1.03 MB and keeps 0.63 MB.
+    # component lengths: on a decoded 16k-vertex path the pass, one walk
+    # from an end, peaks near 0.26 MB and keeps under 200 bytes, where
+    # is_path's vertex order peaks near 1.03 MB and keeps 0.63 MB.
     lt = path_lettering(16000)
     g = decode(Lettering(lt.word, lt.decoder))
     tracemalloc.start()
@@ -194,10 +221,12 @@ def test_path_lettering_memory_grows_linearly():
 
 
 def test_path_lettering_peaks_near_what_it_keeps():
-    # The word goes straight into a tuple, and the decoder and lettering
-    # are built without a second pass of input checks: the call peaks near
-    # 1.31 times what it keeps (the lettering and its decoded graph), and
-    # near 1.39 times with a word list and the checked constructors.
+    # The word goes straight into a tuple, the decoder and lettering are
+    # built without a second pass of input checks, and decode's letter
+    # tables are lists: the call peaks near 1.21 times what it keeps (the
+    # lettering and its decoded graph), near 1.31 times with dict letter
+    # tables and near 1.39 times with a word list and the checked
+    # constructors as well.
     tracemalloc.start()
     try:
         lt = path_lettering(100_000)
@@ -205,7 +234,7 @@ def test_path_lettering_peaks_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     del lt
-    assert peak < 1.35 * kept
+    assert peak < 1.28 * kept
 
 
 def test_over_bound_cli_target_is_not_built(capsys):

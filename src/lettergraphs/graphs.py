@@ -8,27 +8,26 @@ small-graph isomorphism test, and edge-list / DOT serialization.
 A Graph keeps one adjacency representation per regime, each built on first
 use and cached on the graph:
 
-- small exact search (the solver, are_isomorphic, the audits) reads n-bit
+- exact search (the solver, are_isomorphic, the audits) reads n-bit
   neighbor masks from adjacency_masks(); their size is quadratic in n,
   which is harmless below the search bounds;
-- long words keep their edges as two flat endpoint sequences sorted by
-  (tail, head): the lists decode fills, or the two ranges path_graph and
-  matching_graph keep, so those builders hold nothing per vertex. One
-  shape pass reads degree and neighbor-XOR lists derived from them and
-  keeps only the component lengths of a graph of maximum degree 2, split
-  into paths and cycles, so recognizing and certifying a decoded path
-  stays linear in its size and keeps nothing per edge or vertex; a path
-  is certified by one walk from its first end.
-  path_graph and matching_graph record their shape when they build the
-  graph. degree() keeps the degree list, and is_matching reads one set
-  of the endpoints, which also decides the shape of a perfect matching
-  without a walk;
-- the edge set itself, a frozenset of (u, v) tuples, is built only when a
-  caller reads Graph.edges or compares or hashes the graph; has_edge
-  bisects sorted endpoint sequences instead. The edge-list and DOT
-  writers print sorted endpoint sequences as they are, and sort an edge
-  set once; they write and join their lines in slices of 4096, so only
-  one slice's lines are held as separate strings.
+- everything else reads two flat endpoint sequences sorted by (tail,
+  head) through Graph._sorted(): the lists decode fills, the two ranges
+  path_graph and matching_graph keep (nothing per vertex), or the lists
+  an edge set sorts into once, on first read, and keeps. One shape pass
+  reads degree and neighbor-XOR lists derived from them and keeps only
+  the component lengths of a graph of maximum degree 2, split into paths
+  and cycles, so certifying a decoded path stays linear in its size and
+  keeps nothing per edge or vertex; a path is certified by one walk from
+  its first end, and the builders record their shape. degree() keeps the
+  degree list, is_matching reads one set of the endpoints, which also
+  decides the shape of a perfect matching without a walk, and has_edge
+  bisects. The edge-list and DOT writers print the sequences as they
+  are, in slices of 4096 lines, so only one slice's lines are held as
+  separate strings.
+
+The edge set, a frozenset of (u, v) tuples, is built only for Graph.edges,
+which equality, hashing and pickling read.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -40,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import chain
 
 from .errors import CapabilityError, ParseError
 
@@ -158,9 +156,10 @@ class Graph(Record):
     Vertices and the vertex count are ints: integral values such as 2.0
     are converted, and non-integral ones and strings raise ValueError.
 
-    Immutable, and equal and hashed by (n, edges). A graph is held as its
-    edge set (this constructor) or as flat endpoint sequences
-    (_from_endpoints, for long words), whose edge set is built on first use.
+    Immutable, and equal and hashed by (n, edges). This constructor keeps
+    the edge set and sorts it into endpoint sequences on first read;
+    _from_endpoints keeps sorted endpoint sequences and builds the edge
+    set only if edges is read.
     """
 
     __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degrees", "_components")
@@ -207,10 +206,10 @@ class Graph(Record):
         sequences of equal length: decode's lists, or the builders' ranges.
 
         Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n, no
-        repeated pair and the pairs in increasing (tail, head) order, which
-        the writers print as they are, and never writes to the sequences
-        afterwards. It passes the value _shape() would compute if it knows
-        it.
+        repeated pair and the pairs in increasing (tail, head) order, so
+        _sorted() returns the sequences as they are, and never writes to
+        them afterwards. It passes the value _shape() would compute if it
+        knows it.
         """
         g = object.__new__(cls)
         g._init(n, None, (tails, heads), shape)
@@ -229,21 +228,32 @@ class Graph(Record):
     def edges(self) -> frozenset[tuple[int, int]]:
         edges = self._edges
         if edges is None:
-            edges = frozenset(zip(*self._ends))
+            edges = frozenset(self._pairs())
             object.__setattr__(self, "_edges", edges)
         return edges
 
+    def _sorted(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The edges as tails and heads sorted by (tail, head), the view every
+        reader but edges takes. An edge set is sorted on first use and the
+        lists are kept; zip(*pairs) would hold an iterator per edge."""
+        ends = self._ends
+        if ends is None:
+            ordered = sorted(self._edges)
+            ends = [u for u, _ in ordered], [v for _, v in ordered]
+            object.__setattr__(self, "_ends", ends)
+        return ends
+
     def __repr__(self):
         # Edges in sorted order, so equal graphs print alike.
-        edges = f"{{{', '.join(map(repr, sorted(self._pairs())))}}}" if self._size() else ""
+        edges = f"{{{', '.join(map(repr, self._pairs()))}}}" if self._size() else ""
         return f"Graph(n={self.n!r}, edges=frozenset({edges}))"
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
-        # The edges as (u, v) pairs, without building the edge set.
-        return self._edges if self._ends is None else zip(*self._ends)
+        # The edges as sorted (u, v) pairs, without building the edge set.
+        return zip(*self._sorted())
 
     def _size(self) -> int:
-        return len(self._edges) if self._ends is None else len(self._ends[0])
+        return len(self._sorted()[0])
 
     def _degrees_and_xors(self) -> tuple[list[int], list[int]]:
         # Indexed by vertex: the degree, and the XOR of the neighbors. A
@@ -304,10 +314,8 @@ class Graph(Record):
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = sorted((self._vertex(u), self._vertex(v)))
-        if self._edges is not None:
-            return (u, v) in self._edges
-        # Sorted endpoints: bisect the tails for u's run, then its heads.
-        tails, heads = self._ends
+        # Bisect the tails for u's run, then its heads.
+        tails, heads = self._sorted()
         lo = bisect_left(tails, u)
         hi = bisect_right(tails, u, lo)
         i = bisect_left(heads, v, lo, hi)
@@ -434,25 +442,25 @@ def is_matching(g: Graph) -> bool:
     """True iff every vertex has degree exactly 1 (g is a perfect matching).
 
     That holds exactly when the m edges have 2m = n endpoints and no two
-    are equal, which one set of the endpoints decides.
+    are equal, which one set of the sorted view's tails and heads decides.
     """
     if 2 * g._size() != g.n:
         return False
-    ends = g._ends
-    if ends is None:
-        return len({*chain.from_iterable(g._edges)}) == g.n
-    return len({*ends[0], *ends[1]}) == g.n
+    tails, heads = g._sorted()
+    return len({*tails, *heads}) == g.n
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced by the given vertex set, relabelled 1..|S| by rank."""
     vs = sorted({g._vertex(v) for v in vertices})
     rank = {v: i + 1 for i, v in enumerate(vs)}
-    keep = set(vs)
-    edges = frozenset(
-        (rank[u], rank[v]) for u, v in g.edges if u in keep and v in keep
-    )
-    return Graph(len(vs), edges)
+    # rank is increasing, so the kept pairs stay in (tail, head) order.
+    tails, heads = [], []
+    for u, v in g._pairs():
+        if u in rank and v in rank:
+            tails.append(rank[u])
+            heads.append(rank[v])
+    return Graph._from_endpoints(len(vs), tails, heads)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -570,31 +578,19 @@ def _lines(line: str, columns: Sequence[Sequence[int]]) -> str:
     return "\n".join(parts)
 
 
-def _edge_lines(g: Graph, line: str) -> str:
-    """The edges in sorted order, each written as line % (u, v), joined by
-    newlines; empty without edges.
-
-    Endpoint sequences are sorted by (tail, head) already, so they are
-    written as they are; an edge set is sorted once and unzipped.
-    """
-    if not g._size():
-        return ""
-    return _lines(line, g._ends or [*zip(*sorted(g._edges))])
-
-
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in sorted order."""
-    edges = _edge_lines(g, "%d %d")
+    edges = _lines("%d %d", g._sorted())
     return f"{g.n} {g._size()}\n{edges}" if edges else f"{g.n} 0"
 
 
 def to_dot(g: Graph) -> str:
     """g in DOT: one line per vertex, then one per edge in sorted order,
-    each group written in slices as _edge_lines writes edges."""
+    each group written in slices by _lines."""
     lines = ["graph {"]
     if g.n:
         lines.append(_lines("  %d;", [range(1, g.n + 1)]))
-    edges = _edge_lines(g, "  %d -- %d;")
+    edges = _lines("  %d -- %d;", g._sorted())
     if edges:
         lines.append(edges)
     lines.append("}")

@@ -51,8 +51,9 @@ def random_letterings(draw, max_n=40, max_k=6):
 def assert_same_graph(g, h):
     """g, freshly built by decode or a builder, behaves as h, built from
     its edge set. What needs no edge set is compared first, while g has
-    not built one yet."""
-    n = h.n
+    not built one yet; h keeps the set it was built from and reads it
+    sorted."""
+    n, built_from = h.n, h._edges
     assert g.n == n
     assert [g.degree(v) for v in range(1, n + 1)] == [h.degree(v) for v in range(1, n + 1)]
     assert is_path(g) == is_path(h)
@@ -65,6 +66,8 @@ def assert_same_graph(g, h):
         for v in range(1, n + 1):
             assert g.has_edge(u, v) == h.has_edge(u, v)
     assert g._edges is None  # has_edge bisects the endpoints
+    assert h._edges is built_from
+    assert list(h._pairs()) == sorted(h.edges)
     assert g == h and not g != h
     assert hash(g) == hash(h) == hash((n, h.edges))
     assert g.edges == h.edges and type(g.edges) is frozenset
@@ -396,22 +399,26 @@ def test_degree_answers_only_for_vertices():
             g.has_edge(u, v)
 
 
-def test_induced_subgraph_matches_direct_filter():
-    rng = random.Random(7)
-    g = Graph(
-        7,
-        frozenset(
-            (u, v) for u in range(1, 7) for v in range(u + 1, 8) if rng.random() < 0.5
-        ),
+@given(
+    st.one_of(
+        graphs(),
+        random_letterings().map(decode),
+        st.integers(1, 40).map(path_graph),
+        st.integers(1, 20).map(matching_graph),
+    ),
+    st.data(),
+)
+def test_induced_subgraph_matches_direct_filter(g, data):
+    # On edge sets, decoded endpoint lists and the builders' ranges alike;
+    # the subgraph keeps its endpoints sorted, as _from_endpoints requires.
+    vs = sorted(data.draw(st.sets(st.integers(1, g.n)))) if g.n else []
+    sub = induced_subgraph(g, vs)
+    rank = {v: i + 1 for i, v in enumerate(vs)}
+    expect = frozenset(
+        (rank[u], rank[v]) for u, v in g.edges if u in rank and v in rank
     )
-    for code in range(1 << 7):
-        vs = [v for v in range(1, 8) if code >> (v - 1) & 1]
-        sub = induced_subgraph(g, vs)
-        rank = {v: i + 1 for i, v in enumerate(vs)}
-        expect = frozenset(
-            (rank[u], rank[v]) for u, v in g.edges if u in rank and v in rank
-        )
-        assert sub.edges == expect
+    assert sub.n == len(vs) and sub.edges == expect
+    assert list(zip(*sub._ends)) == sorted(expect)
 
 
 def test_are_isomorphic_basics():

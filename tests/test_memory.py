@@ -13,6 +13,7 @@ from lettergraphs import (
     decode,
     enumerate_letterings,
     format_lettering,
+    induced_subgraph,
     is_k_letterable,
     is_path,
     lettericity_exact,
@@ -104,8 +105,8 @@ def test_enumeration_shares_equal_decoders():
 
 
 def test_graph_keeps_a_normalized_edge_set():
-    # parse_edge_list, induced_subgraph and user code hand Graph a frozenset
-    # of (u, v) tuples with u < v; building the graph must not copy it.
+    # parse_edge_list and user code hand Graph a frozenset of (u, v) tuples
+    # with u < v; building the graph must not copy it.
     edges = frozenset((i, i + 1) for i in range(1, 100_000))
     assert peak_bytes(Graph, 100_000, edges) < 100_000
 
@@ -201,16 +202,36 @@ def test_writers_hold_no_string_per_line():
     # text (5.7 times when it sorted packed integer keys, 13.6 times with
     # one tuple of all endpoints) and to_dot near 2.0 times its 2.7 MB text
     # (3.3 and 8.8 times). The range-backed path_graph writes alike. The
-    # same edges as an edge set are sorted and unzipped first: near 6.8
-    # and 3.3 times.
+    # same edges as an edge set are sorted into two endpoint lists on the
+    # first read, which the graph keeps: near 3.4 and 2.6 times, 6.8 and
+    # 3.3 times when zip(*sorted(edges)) unzipped them through an iterator
+    # per edge.
     lt = path_lettering(100_000)
     g = decode(Lettering(lt.word, lt.decoder))
     for h in (g, path_graph(100_000)):
         assert peak_bytes(serialize_edge_list, h) < 3 * len(serialize_edge_list(h))
         assert peak_bytes(to_dot, h) < 3 * len(to_dot(h))
-    edge_set = Graph(g.n, g.edges)
-    assert peak_bytes(serialize_edge_list, edge_set) < 8 * len(serialize_edge_list(edge_set))
-    assert peak_bytes(to_dot, edge_set) < 4 * len(to_dot(edge_set))
+    for write, bound in ((serialize_edge_list, 4), (to_dot, 3)):
+        edge_set = Graph(g.n, g.edges)  # unread, so the write sorts it
+        assert peak_bytes(write, edge_set) < bound * len(write(edge_set))
+
+
+def test_induced_subgraph_builds_no_edge_set():
+    # induced_subgraph reads the source's sorted endpoints and keeps the
+    # pairs whose ends both stay, relabelled by rank: keeping the first
+    # half of a decoded 100k-vertex path peaks near 7.3 MB and keeps the
+    # 2.5 MB subgraph, where building the source's edge set peaked near
+    # 23 MB and left 16.2 MB.
+    g = decode(path_lettering(100_000))
+    tracemalloc.start()
+    try:
+        sub = induced_subgraph(g, range(1, 50_001))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g._edges is None
+    assert peak < 9_000_000 and kept < 3_000_000
+    assert sub == Graph(50_000, frozenset(e for e in g.edges if e[1] <= 50_000))
 
 
 def test_path_lettering_memory_grows_linearly():

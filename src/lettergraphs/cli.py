@@ -19,10 +19,12 @@ from .graphs import Graph, matching_graph, parse_edge_list, path_graph, serializ
 from .solver import VERTEX_LIMIT, _check_size, lettericity_exact
 
 # Largest `path N` served: the largest size measured, where `path 1000000
-# --verify` peaks at about 154 MB max RSS (137 MB with glibc's mmap
-# threshold fixed at 128 kB; decode's letter tables are lists, and the
-# path certificate is one walk). Memory grows linearly in N, so a larger
-# request is refused before any word is built.
+# --verify` peaks at 150-161 MB max RSS, the same code reading differently
+# from different copies of the tree, and near 121 MB under tracemalloc
+# (137-142 MB RSS with glibc's mmap threshold fixed at 128 kB; decode's
+# letter tables are lists, and the path certificate is one walk). Memory
+# grows linearly in N, so a larger request is refused before any word is
+# built.
 PATH_VERTEX_LIMIT = 1_000_000
 
 

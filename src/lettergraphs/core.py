@@ -30,7 +30,7 @@ from collections.abc import Mapping, Sequence, Set
 from itertools import chain, count, islice
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _integer, are_isomorphic
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _columns, _integer, are_isomorphic
 
 Word = tuple[int, ...]
 
@@ -290,13 +290,14 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
             m = tuple([_integer(v, "vertex", digits=True) for v in m])
         if sorted(m) != list(range(1, n + 1)):
             raise ValueError("mapping must be a bijection onto vertices 1..n")
-        # Read the endpoint pairs, not decoded.edges: the lettering keeps its
-        # graph, which would then keep that edge set too.
-        relabelled = frozenset(
+        # Compare sorted endpoints, not edge sets: the lettering keeps its
+        # graph, and the target is the caller's, so either would keep one.
+        # A bijection maps distinct edges to distinct pairs.
+        relabelled = sorted(
             (min(m[u - 1], m[v - 1]), max(m[u - 1], m[v - 1]))
             for u, v in decoded._pairs()
         )
-        return relabelled == target.edges
+        return Graph._from_endpoints(n, *_columns(relabelled)) == target
     if n <= ISOMORPHISM_VERTEX_LIMIT:
         return are_isomorphic(decoded, target)
     shape = target._shape()

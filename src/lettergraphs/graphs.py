@@ -5,29 +5,31 @@ perfect matchings), linear-time recognizers for graphs of maximum degree 2
 (paths, cycles, linear forests, perfect matchings), induced subgraphs, a
 small-graph isomorphism test, and edge-list / DOT serialization.
 
-A Graph keeps one adjacency representation per regime, each built on first
-use and cached on the graph:
+A Graph stores its edges one way, read through Graph._sorted(): two flat
+endpoint sequences, tails and heads, sorted by (tail, head). They are the
+lists decode fills, the two ranges path_graph and matching_graph keep
+(nothing per vertex), or the lists the constructor and parse_edge_list
+sort their checked edges into once, when the graph is built. Each regime
+reads them its own way:
 
 - exact search (the solver, are_isomorphic, the audits) reads n-bit
-  neighbor masks from adjacency_masks(); their size is quadratic in n,
-  which is harmless below the search bounds;
-- everything else reads two flat endpoint sequences sorted by (tail,
-  head) through Graph._sorted(): the lists decode fills, the two ranges
-  path_graph and matching_graph keep (nothing per vertex), or the lists
-  an edge set sorts into once, on first read, and keeps. One shape pass
-  reads degree and neighbor-XOR lists derived from them and keeps only
-  the component lengths of a graph of maximum degree 2, split into paths
-  and cycles, so certifying a decoded path stays linear in its size and
-  keeps nothing per edge or vertex; a path is certified by one walk from
-  its first end, and the builders record their shape. degree() keeps the
+  neighbor masks from adjacency_masks(), built on first use and cached;
+  their size is quadratic in n, which is harmless below the search bounds;
+- everything else reads the sequences themselves. One shape pass reads
+  degree and neighbor-XOR lists derived from them and keeps only the
+  component lengths of a graph of maximum degree 2, split into paths and
+  cycles, so certifying a decoded path stays linear in its size and keeps
+  nothing per edge or vertex; a path is certified by one walk from its
+  first end, and the builders record their shape. degree() keeps the
   degree list, is_matching reads one set of the endpoints, which also
   decides the shape of a perfect matching without a walk, and has_edge
-  bisects. The edge-list and DOT writers print the sequences as they
-  are, in slices of 4096 lines, so only one slice's lines are held as
-  separate strings.
+  bisects. Equality compares the sequences element by element and hashing
+  reads them in slices. The edge-list and DOT writers print the sequences
+  as they are, in slices of 4096 lines, so only one slice's lines are held
+  as separate strings.
 
-The edge set, a frozenset of (u, v) tuples, is built only for Graph.edges,
-which equality, hashing and pickling read.
+The edge set, a frozenset of (u, v) tuples, is built only if Graph.edges is
+read, and then cached.
 
 Record, the immutable base of Graph and of the package's value classes
 (decoders, letterings, witnesses, reports), lives here as the lowest
@@ -39,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from operator import eq
 
 from .errors import CapabilityError, ParseError
 
@@ -48,6 +51,12 @@ ISOMORPHISM_VERTEX_LIMIT = 12
 
 # Graph._shape's value before the pass has run; None is a result.
 _UNSET = object()
+
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Sorted (u, v) pairs as tails and heads lists, a Graph's storage;
+    zip(*pairs) would hold one argument per edge."""
+    return [u for u, _ in pairs], [v for _, v in pairs]
 
 
 def _integer(value, what: str, error: type[ValueError] = ValueError, digits: bool = False) -> int:
@@ -152,73 +161,73 @@ class Record:
 
 
 class Graph(Record):
-    """Loopless undirected graph; edges stored as (u, v) pairs with u < v.
-    Vertices and the vertex count are ints: integral values such as 2.0
-    are converted, and non-integral ones and strings raise ValueError.
+    """Loopless undirected graph on vertices 1..n; each edge is a pair
+    (u, v) with u < v. Vertices and the vertex count are ints: integral
+    values such as 2.0 are converted, and non-integral ones and strings
+    raise ValueError.
 
-    Immutable, and equal and hashed by (n, edges). This constructor keeps
-    the edge set and sorts it into endpoint sequences on first read;
-    _from_endpoints keeps sorted endpoint sequences and builds the edge
-    set only if edges is read.
+    Immutable, and equal and hashed by (n, edges). Whatever it was built
+    from, a graph stores its edges one way, read through _sorted(): two
+    endpoint sequences, tails and heads, sorted by (tail, head). This
+    constructor checks its edges and sorts them into two lists once;
+    _from_endpoints keeps sequences that are sorted already. The edge set
+    is built only if edges is read; equality, hashing and pickling read
+    the sequences.
     """
 
     __slots__ = ("n", "_edges", "_ends", "_adjacency", "_degrees", "_components")
-    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = frozenset()):
         n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        edges = edges if type(edges) is frozenset else tuple(edges)
-        # A frozenset of (u, v) int tuples with u < v is kept as given; a
-        # copy would double it.
-        keep, ints = type(edges) is frozenset, True
+        # A (u, v) tuple of ints with u < v is sorted as given; only a
+        # rebuilt pair, or edges that are not a frozenset, can repeat one.
+        pairs, distinct = [], type(edges) is frozenset
         for e in edges:
-            if type(e) is not tuple:
-                # A string or bytes unpacks into characters or ints; it
-                # names no edge.
-                if isinstance(e, (str, bytes, bytearray)):
-                    raise ValueError(f"edge {e!r} is not a pair of vertices")
-                keep = False
+            # A string or bytes unpacks into characters or ints; it names
+            # no edge.
+            if type(e) is not tuple and isinstance(e, (str, bytes, bytearray)):
+                raise ValueError(f"edge {e!r} is not a pair of vertices")
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 u, v = _integer(u, "vertex"), _integer(v, "vertex")
-                keep = ints = False
+                e = None  # rebuilt below from the converted vertices
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            if u > v:
-                u, v = v, u
-                keep = False
-            if u < 1 or v > n:
-                raise ValueError(f"edge {tuple(e)} has an endpoint outside 1..{n}")
-        if not ints:
-            edges = [(int(u), int(v)) for u, v in edges]  # each checked above
-        if not keep:
-            edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        self._init(n, edges, None, _UNSET)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge {(u, v)} has an endpoint outside 1..{n}")
+            if u > v or type(e) is not tuple:
+                e = (u, v) if u < v else (v, u)
+                distinct = False
+            pairs.append(e)
+        if not distinct:
+            pairs = list(set(pairs))
+        pairs.sort()
+        self._init(n, _columns(pairs), _UNSET)
 
     @classmethod
     def _from_endpoints(cls, n: int, tails: Sequence[int], heads: Sequence[int], shape=_UNSET) -> Graph:
         """Graph whose edges are (tails[i], heads[i]), kept as these two
-        sequences of equal length: decode's lists, or the builders' ranges.
+        sequences of equal length: decode's or parse_edge_list's lists, or
+        the builders' ranges.
 
         Unchecked: the caller guarantees 1 <= tails[i] < heads[i] <= n, no
-        repeated pair and the pairs in increasing (tail, head) order, so
-        _sorted() returns the sequences as they are, and never writes to
-        them afterwards. It passes the value _shape() would compute if it
-        knows it.
+        repeated pair and the pairs in increasing (tail, head) order, the
+        form the constructor leaves, and never writes to them afterwards.
+        It passes the value _shape() would compute if it knows it.
         """
         g = object.__new__(cls)
-        g._init(n, None, (tails, heads), shape)
+        g._init(n, (tails, heads), shape)
         return g
 
-    def _init(self, n, edges, ends, shape) -> None:
+    def _init(self, n, ends, shape) -> None:
         init = object.__setattr__
         init(self, "n", n)
-        init(self, "_edges", edges)
+        init(self, "_edges", None)
         init(self, "_ends", ends)
         init(self, "_adjacency", None)
         init(self, "_degrees", None)
@@ -233,15 +242,30 @@ class Graph(Record):
         return edges
 
     def _sorted(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The edges as tails and heads sorted by (tail, head), the view every
-        reader but edges takes. An edge set is sorted on first use and the
-        lists are kept; zip(*pairs) would hold an iterator per edge."""
-        ends = self._ends
-        if ends is None:
-            ordered = sorted(self._edges)
-            ends = [u for u, _ in ordered], [v for _, v in ordered]
-            object.__setattr__(self, "_ends", ends)
-        return ends
+        """The edges as tails and heads sorted by (tail, head): the one
+        storage, which every reader but edges takes."""
+        return self._ends
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n != other.n or self._size() != other._size():
+            return False
+        # Element by element: a range and a list can hold the same endpoints.
+        (tails, heads), (other_tails, other_heads) = self._sorted(), other._sorted()
+        return all(map(eq, tails, other_tails)) and all(map(eq, heads, other_heads))
+
+    def __hash__(self):
+        # Slice by slice, so that a range and a list holding the same
+        # endpoints hash alike, and nothing per edge is built at once.
+        tails, heads = self._sorted()
+        h = hash((self.n, len(tails)))
+        for start in range(0, len(tails), 128):
+            h = hash((h, *tails[start : start + 128], *heads[start : start + 128]))
+        return h
+
+    def __reduce__(self):
+        return self.__class__, (self.n, list(self._pairs()))
 
     def __repr__(self):
         # Edges in sorted order, so equal graphs print alike.
@@ -558,7 +582,8 @@ def parse_edge_list(text: str) -> Graph:
         if key in edges:
             raise ParseError(f"duplicate edge {key[0]} {key[1]}", line=idx)
         edges.add(key)
-    return Graph(n, frozenset(edges))
+    # Each pair is checked above as Graph would check it, and distinct.
+    return Graph._from_endpoints(n, *_columns(sorted(edges)))
 
 
 def _lines(line: str, columns: Sequence[Sequence[int]]) -> str:

@@ -48,12 +48,21 @@ def random_letterings(draw, max_n=40, max_k=6):
     return Lettering(word, Decoder(k, pairs))
 
 
+# Graphs in every storage kind: constructor lists, decoded lists and the
+# builders' ranges.
+stored_graphs = st.one_of(
+    graphs(),
+    random_letterings().map(decode),
+    st.integers(1, 40).map(path_graph),
+    st.integers(1, 20).map(matching_graph),
+)
+
+
 def assert_same_graph(g, h):
     """g, freshly built by decode or a builder, behaves as h, built from
-    its edge set. What needs no edge set is compared first, while g has
-    not built one yet; h keeps the set it was built from and reads it
-    sorted."""
-    n, built_from = h.n, h._edges
+    its edge set. Neither builds its edge set until edges is read, not for
+    equality, hashing or pickling either."""
+    n = h.n
     assert g.n == n
     assert [g.degree(v) for v in range(1, n + 1)] == [h.degree(v) for v in range(1, n + 1)]
     assert is_path(g) == is_path(h)
@@ -65,11 +74,12 @@ def assert_same_graph(g, h):
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             assert g.has_edge(u, v) == h.has_edge(u, v)
-    assert g._edges is None  # has_edge bisects the endpoints
-    assert h._edges is built_from
-    assert list(h._pairs()) == sorted(h.edges)
     assert g == h and not g != h
-    assert hash(g) == hash(h) == hash((n, h.edges))
+    assert hash(g) == hash(h)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == h and hash(copy) == hash(h)
+    assert g._edges is None and h._edges is None and copy._edges is None
+    assert list(h._pairs()) == sorted(h.edges)
     assert g.edges == h.edges and type(g.edges) is frozenset
 
 
@@ -110,6 +120,25 @@ def test_has_edge_bisects_sorted_endpoints():
                 if 1 <= a <= g.n and 1 <= b <= g.n:
                     assert g.has_edge(a, b) == g.has_edge(b, a) == twin.has_edge(a, b)
         assert g._edges is None
+
+
+@given(stored_graphs, stored_graphs, st.data())
+def test_equality_and_hash_follow_the_edge_set(g, other, data):
+    # == and hash read the sorted endpoints, not the edge set; they must
+    # agree with comparing (n, edges) across lists and ranges, also for
+    # graphs one edge apart.
+    edges = g.edges
+    twins = [Graph(g.n, edges), parse_edge_list(serialize_edge_list(g)), pickle.loads(pickle.dumps(g))]
+    others = [other, Graph(g.n + 1, edges)]
+    if g.n >= 2:
+        u, v = sorted(data.draw(st.lists(st.integers(1, g.n), min_size=2, max_size=2, unique=True)))
+        others.append(Graph(g.n, edges ^ {(u, v)}))
+    for a in (g, *twins):
+        for b in (g, *twins, *others):
+            same = (a.n, a.edges) == (b.n, b.edges)
+            assert (a == b) == same and (a != b) != same
+            if same:
+                assert hash(a) == hash(b)
 
 
 def test_builders_record_the_shape_they_build():
@@ -153,6 +182,8 @@ def test_graph_rejects_bad_edges():
     g = Graph(3.0, [(1.0, 2), (True, 3)])
     assert g == Graph(3, frozenset({(1, 2), (1, 3)}))
     assert type(g.n) is int and all(type(u) is int for e in g.edges for u in e)
+    # Each edge is read once, so a one-shot pair is taken as well.
+    assert Graph(3, [iter((2, 1)), (1, 2)]) == Graph(3, [(1, 2)])
     # An edge that is not a pair is named; an edge collection that is not
     # iterable stays a TypeError.
     for edges, message in (
@@ -163,6 +194,8 @@ def test_graph_rejects_bad_edges():
         (["12"], "edge '12' is not a pair of vertices"),
         ([b"12"], "edge b'12' is not a pair of vertices"),
         (frozenset({"12"}), "edge '12' is not a pair of vertices"),
+        # A one-shot edge is named by the vertices it gave.
+        ([iter((1, 5))], "edge (1, 5) has an endpoint outside 1..3"),
     ):
         with pytest.raises(ValueError) as info:
             Graph(3, edges)
@@ -399,15 +432,7 @@ def test_degree_answers_only_for_vertices():
             g.has_edge(u, v)
 
 
-@given(
-    st.one_of(
-        graphs(),
-        random_letterings().map(decode),
-        st.integers(1, 40).map(path_graph),
-        st.integers(1, 20).map(matching_graph),
-    ),
-    st.data(),
-)
+@given(stored_graphs, st.data())
 def test_induced_subgraph_matches_direct_filter(g, data):
     # On edge sets, decoded endpoint lists and the builders' ranges alike;
     # the subgraph keeps its endpoints sorted, as _from_endpoints requires.

@@ -3,6 +3,7 @@ from the input such as the alphabet size. Peaks are measured with
 tracemalloc, so the tests do not depend on machine speed."""
 
 import gc
+import pickle
 import tracemalloc
 
 from lettergraphs import (
@@ -19,6 +20,7 @@ from lettergraphs import (
     lettericity_exact,
     matching_canonical_lettering,
     matching_graph,
+    parse_edge_list,
     path_graph,
     path_lettering,
     serialize_edge_list,
@@ -104,11 +106,55 @@ def test_enumeration_shares_equal_decoders():
     assert held == result
 
 
-def test_graph_keeps_a_normalized_edge_set():
-    # parse_edge_list and user code hand Graph a frozenset of (u, v) tuples
-    # with u < v; building the graph must not copy it.
+def test_graph_sorts_its_edges_once():
+    # The constructor sorts the edges it is given into two endpoint lists
+    # and keeps only those: building a 100k-edge path from its edge set
+    # and reading it peaks near 2.40 MB, the sorted pairs and the lists.
     edges = frozenset((i, i + 1) for i in range(1, 100_000))
-    assert peak_bytes(Graph, 100_000, edges) < 100_000
+    assert peak_bytes(lambda: Graph(100_000, edges)._pairs()) < 2_600_000
+    # parse_edge_list hands over the pairs it has checked, sorted: the
+    # graph keeps near 7.3 MB (the lists and their ints), where it kept
+    # 17.0 MB with a frozenset of the edges beside them.
+    text = serialize_edge_list(path_graph(100_000))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        g._pairs()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 8_000_000
+    assert g._edges is None
+
+
+def test_equality_and_hashing_build_no_edge_set():
+    # Two fresh decodes of a 100k-vertex path are compared element by
+    # element and hashed in slices of their endpoint lists: near 144 bytes
+    # and 4.3 kB at the peak, where building both edge sets to compare
+    # them took 50-85 ms and left 19.5 MB. Pickling writes the sorted
+    # pairs.
+    lt = path_lettering(100_000)
+    g, h = (decode(Lettering(lt.word, lt.decoder)) for _ in range(2))
+    for check in (lambda: g == h, lambda: hash(g) == hash(h)):
+        tracemalloc.start()
+        try:
+            assert check()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == 0 and peak < 10_000
+    assert pickle.loads(pickle.dumps(g)) == h
+    # verify_lettering with a mapping compares through the same equality:
+    # it peaks near 7.9 MB and keeps nothing, where building the target's
+    # edge set kept 9.9 MB on it.
+    tracemalloc.start()
+    try:
+        assert verify_lettering(lt, h, tuple(range(1, 100_001)))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
+    assert g._edges is None and h._edges is None and decode(lt)._edges is None
 
 
 def test_decode_holds_no_tuple_per_edge():
@@ -201,19 +247,15 @@ def test_writers_hold_no_string_per_line():
     # 100k-vertex path, serialize_edge_list peaks near 2.0 times its 1.2 MB
     # text (5.7 times when it sorted packed integer keys, 13.6 times with
     # one tuple of all endpoints) and to_dot near 2.0 times its 2.7 MB text
-    # (3.3 and 8.8 times). The range-backed path_graph writes alike. The
-    # same edges as an edge set are sorted into two endpoint lists on the
-    # first read, which the graph keeps: near 3.4 and 2.6 times, 6.8 and
-    # 3.3 times when zip(*sorted(edges)) unzipped them through an iterator
-    # per edge.
+    # (3.3 and 8.8 times). The range-backed path_graph writes alike, and so
+    # does the same graph built from its edge set, which sorted its edges
+    # when built: 3.4 and 2.6 times when it kept the set and sorted it on
+    # the first read.
     lt = path_lettering(100_000)
     g = decode(Lettering(lt.word, lt.decoder))
-    for h in (g, path_graph(100_000)):
+    for h in (g, path_graph(100_000), Graph(g.n, g.edges)):
         assert peak_bytes(serialize_edge_list, h) < 3 * len(serialize_edge_list(h))
         assert peak_bytes(to_dot, h) < 3 * len(to_dot(h))
-    for write, bound in ((serialize_edge_list, 4), (to_dot, 3)):
-        edge_set = Graph(g.n, g.edges)  # unread, so the write sorts it
-        assert peak_bytes(write, edge_set) < bound * len(write(edge_set))
 
 
 def test_induced_subgraph_builds_no_edge_set():

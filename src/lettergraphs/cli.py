@@ -42,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_decode(args) -> int:
     word = parse_word(args.word)
     pairs = parse_decoder_pairs(args.decoder)
-    k = args.k if args.k is not None else max(word, default=0)
+    # An inferred alphabet holds at least letter 1 for a nonempty word, so a
+    # letter below 1 is reported against the word, not the alphabet.
+    k = args.k if args.k is not None else (max(max(word), 1) if word else 0)
     lettering = Lettering(word, Decoder(k, pairs))
     g = decode(lettering)
     print(serialize_edge_list(g) if args.format == "edges" else to_dot(g))

@@ -36,7 +36,11 @@ grown class partly (_steps), since an unplaced vertex follows every member
 of a class; such a prefix is never built or searched. A passing search
 records the lettering it reached, and the placement that lettering
 certifies (_certified) is taken without a search once every earlier one
-has failed its own.
+has failed its own. At the root the mirror of the root search's completion
+(the same classes, the precedence reversed) is a completion too, so the
+walk carries whichever of the two puts the smaller vertex first: the
+completion's smallest source, or its smallest sink. Later steps carry no
+mirror, since a nonempty prefix must stay ahead of its unplaced vertices.
 
 Enumeration (enumerate_letterings) is a backtracking DFS over the same
 placements that runs no completion search, which there cost more than it
@@ -429,7 +433,11 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     breaks there, which keeps it; the search is exact, so that child extends
     and no earlier one did. The walk carries the last completion a search
     recorded: the placement it certifies is taken without a search once
-    those before it have failed theirs."""
+    those before it have failed theirs. The root's completion is carried
+    as is, or as its mirror (reach transposed) when its smallest sink is
+    below its smallest source, so the first step is certified at the
+    smaller of the two vertices and fewer candidates before it are
+    searched. The transpose is built only when the sink wins."""
     n, adj = g.n, g.adjacency_masks()
     order, letters, m, unplaced = [], [], 0, (2 << n) - 2
     group, known, edge = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
@@ -437,6 +445,19 @@ def _first_witness(g: Graph, k: int) -> LetteringWitness | None:
     if not root.completable():
         return None  # one exact search at the root decides an infeasible k
     completion = root.completion
+    if completion is not None:
+        cls, reach = completion
+        if reach.index(0, 1) < _certified(completion, unplaced, group, m)[0]:
+            # Its mirror, the word read backwards under the transposed
+            # decoder, keeps the classes and reverses the precedence, so it
+            # certifies the smallest sink as the first vertex.
+            mirror = [0] * (n + 1)
+            for u in range(1, n + 1):
+                r = reach[u]
+                while r:
+                    mirror[(r & -r).bit_length() - 1] |= 1 << u
+                    r &= r - 1
+            completion = cls, mirror
     while unplaced:
         sure = _certified(completion, unplaced, group, m)
         for v, c in _steps(adj, k, m, unplaced, group, known, edge):

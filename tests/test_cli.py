@@ -43,8 +43,16 @@ def test_decode_dot(capsys):
 
 
 def test_decode_rejects_decoder_beyond_inferred_alphabet(capsys):
-    rc, out, err = run(capsys, "decode", "--word", "1,2", "--decoder", "9:9")
-    assert rc == 1 and out == "" and "9" in err
+    for word, decoder, message in (
+        ("1,2", "9:9", "decoder pair (9,9) outside alphabet 1..2"),
+        ("", "1:1", "decoder pair (1,1) outside alphabet 1..0"),
+        # The alphabet is inferred from the word, so a letter below 1 is the
+        # word's fault, not the decoder's or the alphabet's.
+        ("0,0", "1:1", "letter at position 1 must be >= 1, got 0"),
+        ("-1", "1:1", "letter at position 1 must be >= 1, got -1"),
+    ):
+        rc, out, err = run(capsys, "decode", f"--word={word}", "--decoder", decoder)
+        assert (rc, out, err) == (1, "", f"error: {message}\n"), word
 
 
 def test_decode_explicit_alphabet_widens(capsys):

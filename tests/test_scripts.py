@@ -51,3 +51,13 @@ def test_certify_paths_rejects_an_empty_range(monkeypatch, capsys):
             _run(script, monkeypatch, "--max-construct", bound)
         assert exit_info.value.code == 2
         assert "--max-construct must be at least 3" in capsys.readouterr().err
+
+
+def test_bench_pairs_summary_statistics():
+    # Pairs (10, 11), (12, 12), (11, 10), (13, 14), (9, 12): the tie counts
+    # for neither side. The parent's quartiles are 10 and 12.
+    script = _load("bench_pairs")
+    parent, change = [10.0, 12.0, 11.0, 13.0, 9.0], [11.0, 12.0, 10.0, 14.0, 12.0]
+    higher = {"parent_median": 11.0, "change_median": 12.0, "parent_iqr": 2.0, "change_wins": 3, "pairs": 5}
+    assert script.summarize(parent, change, "higher") == higher
+    assert script.summarize(parent, change, "lower") == {**higher, "change_wins": 1}

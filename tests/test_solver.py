@@ -28,6 +28,7 @@ from lettergraphs import (
     solver,
     verify_lettering,
 )
+from make_witness_corpus import CORPUS, corpus_graphs, corpus_line
 from naive_oracle import (
     all_graphs_up_to_iso,
     dfs_prefixes,
@@ -624,6 +625,18 @@ def test_lettericity_witness_is_pinned(name):
     assert w.lettering.decoder.alphabet_size == k
 
 
+def test_first_witnesses_match_the_corpus():
+    # Every line of the file: the graph, then lettericity_exact's k, word,
+    # decoder and map on it (make_witness_corpus.py wrote them).
+    pinned = CORPUS.read_text().splitlines()
+    got = [corpus_line(name, g) for name, g in corpus_graphs()]
+    assert len(got) == len(pinned)
+    differ = [(want, line) for want, line in zip(pinned, got) if want != line]
+    assert not differ, (
+        f"{len(differ)} lines differ, first {differ[0][0].split()[0]}:\n{differ[0][0]}\n{differ[0][1]}"
+    )
+
+
 def _first(g, k):
     w = is_k_letterable(g, k)
     return None if w is None else (w.vertex_of_position, w.lettering.word, w.lettering.decoder.pairs)
@@ -689,7 +702,9 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
     # (place at i = 0). Without the carried completion P_9, P_10 and 4K_2
     # take 27, 32 and 9 searches. The walk builds a class form only for a
     # search, after the forward check, so every _Completion built is
-    # searched.
+    # searched. The last two take their first step from the mirror of the
+    # root's completion, whose first vertex is smaller; from the root's
+    # completion itself they take 3 and 7.
     completable, place, init = solver._Completion.completable, solver._Completion.place, solver._Completion.__init__
     calls, searched, built = [], [], []
 
@@ -709,15 +724,20 @@ def test_walk_completion_searches_are_pinned(monkeypatch):
     monkeypatch.setattr(solver._Completion, "completable", counted)
     monkeypatch.setattr(solver._Completion, "place", counted_place)
     monkeypatch.setattr(solver._Completion, "__init__", counted_init)
-    for g, expected in (
-        (path_graph(9), (7, 7)),
-        (path_graph(10), (7, 7)),
-        (matching_graph(4), (1, 1)),
+    co_g8 = Graph(8, frozenset(combinations(range(1, 9), 2)) - {
+        (2, 3), (2, 5), (2, 7), (3, 5), (3, 8), (4, 8), (5, 6), (5, 7), (5, 8), (6, 8)
+    })
+    for g, k, expected in (
+        (path_graph(9), 4, (7, 7)),
+        (path_graph(10), 4, (7, 7)),
+        (matching_graph(4), 4, (1, 1)),
+        (Graph(4, {(1, 4)}), 2, (2, 2)),
+        (co_g8, 4, (6, 6)),
     ):
         calls.clear()
         searched.clear()
         built.clear()
-        assert is_k_letterable(g, 4) is not None
+        assert is_k_letterable(g, k) is not None
         assert (len(calls), len(searched)) == expected, g
         assert built == searched, g
 

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, summarized into BENCH_<PR>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --pr 32 --seed 3201 [--workloads solve,cli]
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr 32 --seed 3201
 
 PARENT and CHANGE are two trees of the repository, each with its own
 bench/run.py. Both get `src` and `bench` compiled with compileall first, so
-neither side pays for recompiling stale bytecode at every worker start. For
-each workload of BENCHMARK.json (or the subset --workloads names), pair i of
+neither side pays for recompiling stale bytecode at every worker start.
+Every workload of BENCHMARK.json runs, so the file can show that no
+end-to-end metric got worse on any of them. For each workload, pair i of
 ten runs `python3 bench/run.py --workload W --seed S+i --seconds T --trace 0`
-in both trees, T being BENCHMARK.json's run_seconds, the parent first in even
-pairs and the change first in odd ones. Ten pairs is the fewest that can
-back a gain claim (better in at least nine). The two directories trade places after half the
-pairs (the trees are renamed, through a third name beside them, and put
-back after the workload), so a directory that reads slower on the host
-cannot favour one side; pass scratch copies, not a working tree. Each side
-then adds one `--trace 1` run per workload for the per-layer values.
+in both trees, T being BENCHMARK.json's run_seconds, the parent first in
+even pairs and the change first in odd ones. Ten pairs is the fewest that
+can back a gain claim (better in at least nine). The two directories trade
+places after half the pairs (the trees are renamed, through a third name
+beside them, and put back after the workload), so a directory that reads
+slower on the host cannot favour one side; pass scratch copies, not a
+working tree. Each side then adds one `--trace 1` run per workload for the
+per-layer values.
 
 For each workload and end-to-end metric of BENCHMARK.json the summary holds
 both medians, the parent's interquartile range (the distance between its
@@ -83,15 +85,10 @@ def main() -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--pr", required=True, help="names the output BENCH_<PR>.json")
-    ap.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's workloads (default: all)")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    known = [w["name"] for w in spec["workloads"]]
-    workloads = args.workloads.split(",") if args.workloads else known
-    unknown = [w for w in workloads if w not in known]
-    if unknown:
-        ap.error(f"unknown workloads {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}

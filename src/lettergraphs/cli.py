@@ -28,7 +28,7 @@ from .solver import VERTEX_LIMIT, _check_size, lettericity_exact
 PATH_VERTEX_LIMIT = 1_000_000
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -161,9 +161,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

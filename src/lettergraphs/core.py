@@ -22,15 +22,18 @@ graph afterwards, so a certificate, a verification and a caller's own
 decode of one lettering share one decoding. A word given as a tuple of
 ints and a decoder given as a frozenset of int pairs are kept as given,
 so building a lettering copies neither.
+
+format_lettering writes the word and sorted decoder pairs through
+graphs._lines, the package's one slice writer; it holds no string per letter.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Mapping, Set
 from itertools import chain, count, islice
 
 from .errors import CapabilityError, InvalidLetteringError, ParseError
-from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _columns, _integer, are_isomorphic
+from .graphs import ISOMORPHISM_VERTEX_LIMIT, Graph, Record, _columns, _integer, _lines, are_isomorphic
 
 Word = tuple[int, ...]
 
@@ -323,19 +326,10 @@ def verify_lettering(lettering: Lettering, target: Graph, mapping=None) -> bool:
 
 
 def format_lettering(lettering: Lettering) -> str:
-    parts = [f"k {lettering.decoder.alphabet_size}\nw"]
-    _write_slices(parts, lettering.word, str)
-    parts.append("\nD")
-    _write_slices(parts, sorted(lettering.decoder.pairs), "%d:%d".__mod__)
-    return "".join(parts)
-
-
-def _write_slices(parts: list[str], values: Sequence, write) -> None:
-    # Appends a space and the values, each written by write and separated
-    # by commas, in slices of 4096 values: only one slice's strings are
-    # held apart at a time, and format_lettering joins its lines once.
-    for i in range(0, len(values), 4096):
-        parts += ("," if i else " ", ",".join(map(write, values[i : i + 4096])))
+    word, pairs = lettering.word, lettering.decoder.pairs
+    w = f"w {_lines('%d', [word], ',')}" if word else "w"
+    d = f"D {_lines('%d:%d', _columns(sorted(pairs)), ',')}" if pairs else "D"
+    return f"k {lettering.decoder.alphabet_size}\n{w}\n{d}"
 
 
 def _line_payload(lines: list[str], line_no: int, tag: str) -> str:

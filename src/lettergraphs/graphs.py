@@ -3,7 +3,8 @@
 Builders for the two structured families used throughout (paths and
 perfect matchings), linear-time recognizers for graphs of maximum degree 2
 (paths, cycles, linear forests, perfect matchings), induced subgraphs, a
-small-graph isomorphism test, and edge-list / DOT serialization.
+small-graph isomorphism test, edge-list / DOT serialization, and _lines,
+the package's one writer of int sequences as text.
 
 A Graph stores its edges one way, read through Graph._sorted(): two flat
 endpoint sequences, tails and heads, sorted by (tail, head). They are the
@@ -24,9 +25,10 @@ reads them its own way:
   degree list, is_matching reads one set of the endpoints, which also
   decides the shape of a perfect matching without a walk, and has_edge
   bisects. Equality compares the sequences element by element and hashing
-  reads them in slices. The edge-list and DOT writers print the sequences
-  as they are, in slices of 4096 lines, so only one slice's lines are held
-  as separate strings.
+  reads them in slices. The edge-list and DOT writers and repr print the
+  sequences as they are through _lines, which also writes
+  core.format_lettering's word and decoder lines; it works in slices of
+  rows, so no writer holds a string per edge, vertex or letter.
 
 The edge set, a frozenset of (u, v) tuples, is built only if Graph.edges is
 read, and then cached.
@@ -269,7 +271,7 @@ class Graph(Record):
 
     def __repr__(self):
         # Edges in sorted order, so equal graphs print alike.
-        edges = f"{{{', '.join(map(repr, self._pairs()))}}}" if self._size() else ""
+        edges = f"{{{_lines('(%d, %d)', self._sorted(), ', ')}}}" if self._size() else ""
         return f"Graph(n={self.n!r}, edges=frozenset({edges}))"
 
     def _pairs(self) -> Iterable[tuple[int, int]]:
@@ -514,21 +516,19 @@ def extend_isomorphism(gm, hm, order, mapping, depth: int = 0, used: int = 0) ->
     isomorphism between the graphs with neighbor masks gm and hm.
 
     The vertices order[:depth] are mapped and used is the mask of their
-    images. The rest are mapped in order; a vertex whose image is already
-    set in mapping keeps it, so a partial map (say, one that fixes some
-    vertices and sends u to v) must list its preset vertices first. Each
-    image must match its vertex's degree and its adjacency to every vertex
-    mapped before it. On success mapping holds the isomorphism; on failure
-    it is as given. A plain recursive function, so it leaves no reference
-    cycle behind.
+    images; the caller vouches that this partial map agrees on degrees and
+    adjacency (say, one that fixes some vertices and sends u to v). The
+    rest are mapped in order, each image matching its vertex's degree and
+    its adjacency to every vertex mapped before it. On success mapping
+    holds the isomorphism; on failure it is as given. A plain recursive
+    function, so it leaves no reference cycle behind.
     """
     if depth == len(order):
         return True
     v = order[depth]
     row = gm[v]
     degree = row.bit_count()
-    preset = mapping[v]
-    for w in (preset,) if preset else range(1, len(hm)):
+    for w in range(1, len(hm)):
         if used >> w & 1 or hm[w].bit_count() != degree:
             continue
         hw = hm[w]
@@ -540,7 +540,7 @@ def extend_isomorphism(gm, hm, order, mapping, depth: int = 0, used: int = 0) ->
             mapping[v] = w
             if extend_isomorphism(gm, hm, order, mapping, depth + 1, used | 1 << w):
                 return True
-    mapping[v] = preset
+    mapping[v] = 0
     return False
 
 
@@ -586,11 +586,12 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._from_endpoints(n, *_columns(sorted(edges)))
 
 
-def _lines(line: str, columns: Sequence[Sequence[int]]) -> str:
-    """One line % values per row of the columns, joined by newlines, where
-    the rows run in slices of 4096, as format_lettering joins a word: only
-    one slice's lines are held as separate values at a time. Each slice is
-    written by one % call on the flat values of its rows."""
+def _lines(line: str, columns: Sequence[Sequence[int]], sep: str) -> str:
+    """One line % values per row of the columns, joined by sep: the
+    package's one writer of int sequences as text, behind the edge-list and
+    DOT writers, format_lettering and Graph's repr. The rows run in slices
+    of 4096, each written by one % call on the flat values of its rows, so
+    only one slice's values are held apart at a time."""
     size = len(columns[0])
     width = len(columns)
     parts = []
@@ -599,13 +600,13 @@ def _lines(line: str, columns: Sequence[Sequence[int]]) -> str:
         flat = [0] * (width * rows)
         for c, column in enumerate(columns):
             flat[c::width] = column[start : start + rows]
-        parts.append("\n".join([line] * rows) % tuple(flat))
-    return "\n".join(parts)
+        parts.append(sep.join([line] * rows) % tuple(flat))
+    return sep.join(parts)
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted in sorted order."""
-    edges = _lines("%d %d", g._sorted())
+    edges = _lines("%d %d", g._sorted(), "\n")
     return f"{g.n} {g._size()}\n{edges}" if edges else f"{g.n} 0"
 
 
@@ -614,8 +615,8 @@ def to_dot(g: Graph) -> str:
     each group written in slices by _lines."""
     lines = ["graph {"]
     if g.n:
-        lines.append(_lines("  %d;", [range(1, g.n + 1)]))
-    edges = _lines("  %d -- %d;", g._sorted())
+        lines.append(_lines("  %d;", [range(1, g.n + 1)], "\n"))
+    edges = _lines("  %d -- %d;", g._sorted(), "\n")
     if edges:
         lines.append(edges)
     lines.append("}")

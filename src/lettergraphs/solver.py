@@ -123,8 +123,9 @@ def _orbit_skips(adj, n: int, placed: int) -> int:
             for p in fixed:
                 mapping[p] = p
             mapping[u] = v
+            # The test above vouches for the fixed points and u -> v.
             order = fixed + [u] + [w for w in rest if w != u]
-            if extend_isomorphism(adj, adj, order, mapping):
+            if extend_isomorphism(adj, adj, order, mapping, len(fixed) + 1, placed | 1 << v):
                 skips |= 1 << v
                 break
         else:

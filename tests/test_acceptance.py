@@ -33,6 +33,7 @@ from lettergraphs import (
 )
 from lettergraphs.solver import _lettericity
 from naive_oracle import all_graphs_up_to_iso, oracle_lettericity
+from strategies import complement_graph
 
 CASES_PER_PROPERTY = 10_000
 
@@ -173,25 +174,13 @@ def _random_graph(rng, max_n=6, min_n=0):
     return Graph(n, edges)
 
 
-def _complement_graph(g):
-    return Graph(
-        g.n,
-        frozenset(
-            (u, v)
-            for u in range(1, g.n)
-            for v in range(u + 1, g.n + 1)
-            if (u, v) not in g.edges
-        ),
-    )
-
-
 def test_criterion_8a_complement_duality():
     t0 = time.time()
     rng = random.Random(801)
     for _ in range(CASES_PER_PROPERTY):
         lt = _random_lettering(rng)
         flipped = Lettering(lt.word, complement_decoder(lt.decoder))
-        assert decode(flipped) == _complement_graph(decode(lt))
+        assert decode(flipped) == complement_graph(decode(lt))
     _report(8, f"complement duality holds on {CASES_PER_PROPERTY} random letterings", t0)
 
 

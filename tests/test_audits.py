@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from lettergraphs import (
     CapabilityError,
@@ -23,16 +22,7 @@ from lettergraphs import (
     path_lettering,
 )
 from lettergraphs.audits import _audit_matching_letterings
-
-
-@st.composite
-def letterings(draw, max_n=8, max_k=4):
-    k = draw(st.integers(1, max_k))
-    n = draw(st.integers(0, max_n))
-    word = tuple(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
-    all_pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
-    pairs = frozenset(draw(st.sets(st.sampled_from(all_pairs))))
-    return Lettering(word, Decoder(k, pairs))
+from strategies import letterings
 
 
 def test_betweenness_examples():

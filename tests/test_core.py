@@ -32,19 +32,10 @@ from lettergraphs import (
     subword,
     verify_lettering,
 )
+from strategies import complement_graph, letterings
 
 P7_LETTERING = Lettering((2, 1, 3, 2, 1, 3, 2), Decoder(3, frozenset({(2, 1), (3, 2)})))
 P7_EDGES = frozenset({(1, 2), (1, 5), (3, 4), (3, 7), (4, 5), (6, 7)})
-
-
-@st.composite
-def letterings(draw, max_n=8, max_k=4):
-    k = draw(st.integers(1, max_k))
-    n = draw(st.integers(0, max_n))
-    word = tuple(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
-    all_pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
-    pairs = frozenset(draw(st.sets(st.sampled_from(all_pairs))))
-    return Lettering(word, Decoder(k, pairs))
 
 
 @st.composite
@@ -59,16 +50,6 @@ def sparse_letterings(draw, max_n=12):
     letters = st.sampled_from(used + others)
     pairs = frozenset(draw(st.sets(st.tuples(letters, letters), max_size=12)))
     return Lettering(word, Decoder(k, pairs))
-
-
-def complement_graph(g: Graph) -> Graph:
-    edges = frozenset(
-        (u, v)
-        for u in range(1, g.n)
-        for v in range(u + 1, g.n + 1)
-        if (u, v) not in g.edges
-    )
-    return Graph(g.n, edges)
 
 
 # --- decode ----------------------------------------------------------------
@@ -543,13 +524,21 @@ def test_parse_lettering_multi_digit_letters():
 
 
 def test_format_lettering_long_words():
-    # The word line is written in slices of 4096 letters; the text must not
-    # show where one slice ends.
+    # The word and decoder lines are written in slices of 4096 letters and
+    # pairs; the text must not show where one slice ends.
     for n in (4095, 4096, 4097, 8193):
         word = tuple(i % 13 + 1 for i in range(n))
         lt = Lettering(word, Decoder(13, frozenset({(2, 1), (13, 12)})))
         text = format_lettering(lt)
         assert text == "k 13\nw " + ",".join(str(a) for a in word) + "\nD 2:1,13:12"
+        assert parse_lettering(text) == lt
+        # n pairs over 91 letters, taken from the end so that none of the
+        # slices starts at letter 1.
+        all_pairs = [(a, b) for a in range(1, 92) for b in range(1, 92)]
+        pairs = frozenset(all_pairs[-n:])
+        lt = Lettering((1, 2, 91), Decoder(91, pairs))
+        text = format_lettering(lt)
+        assert text == "k 91\nw 1,2,91\nD " + ",".join(f"{a}:{b}" for a, b in sorted(pairs))
         assert parse_lettering(text) == lt
 
 

@@ -28,31 +28,14 @@ from lettergraphs import (
     serialize_edge_list,
     to_dot,
 )
-
-
-@st.composite
-def graphs(draw, max_n=8):
-    n = draw(st.integers(0, max_n))
-    all_pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
-    edges = frozenset(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else frozenset()
-    return Graph(n, edges)
-
-
-@st.composite
-def random_letterings(draw, max_n=40, max_k=6):
-    k = draw(st.integers(1, max_k))
-    n = draw(st.integers(0, max_n))
-    word = tuple(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
-    all_pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
-    pairs = frozenset(draw(st.sets(st.sampled_from(all_pairs))))
-    return Lettering(word, Decoder(k, pairs))
+from strategies import graphs, letterings
 
 
 # Graphs in every storage kind: constructor lists, decoded lists and the
 # builders' ranges.
 stored_graphs = st.one_of(
     graphs(),
-    random_letterings().map(decode),
+    letterings(max_n=40, max_k=6).map(decode),
     st.integers(1, 40).map(path_graph),
     st.integers(1, 20).map(matching_graph),
 )
@@ -83,7 +66,7 @@ def assert_same_graph(g, h):
     assert g.edges == h.edges and type(g.edges) is frozenset
 
 
-@given(random_letterings())
+@given(letterings(max_n=40, max_k=6))
 def test_decoded_graph_behaves_as_its_edge_set(lt):
     w, pairs = lt.word, lt.decoder.pairs
     by_definition = frozenset(
@@ -544,6 +527,17 @@ def test_range_builders_match_their_edge_set_twins():
         check(path_graph(m + 1), frozenset((i, i + 1) for i in range(1, m + 1)), small)
         check(matching_graph(m), frozenset((2 * i - 1, 2 * i) for i in range(1, m + 1)), small)
     check(path_graph(1), frozenset(), True)
+
+
+def test_repr_lists_the_sorted_edges_across_slices():
+    # repr writes its pairs in the writers' 4096-pair slices; the text must
+    # not show where one slice ends, on range-backed graphs or decoded ones.
+    for m in (4095, 4096, 4097, 8193):
+        for g in (path_graph(m + 1), matching_graph(m), decode(path_lettering(m + 1))):
+            text = repr(g)
+            pairs = ", ".join(map(repr, sorted(g.edges)))
+            assert text == f"Graph(n={g.n}, edges=frozenset({{{pairs}}}))"
+    assert repr(Graph(3)) == "Graph(n=3, edges=frozenset())"
 
 
 def test_parse_edge_list_errors():

@@ -224,8 +224,8 @@ def test_lettering_keeps_a_normalized_word_and_decoder():
 
 
 def test_format_lettering_holds_no_string_per_letter():
-    # The word and decoder lines are written in slices of letters and
-    # pairs, and the text is joined once: formatting a 300,000-vertex path
+    # The word and decoder lines are written by the edge-list writer, in
+    # slices of letters and pairs: formatting a 300,000-vertex path
     # lettering peaks near 2.0 times its 2.9 MB text, 3.3 times with one
     # string per decoder pair and each line copied into the text, and near
     # 7.0 times with one string per letter as well.
@@ -256,6 +256,14 @@ def test_writers_hold_no_string_per_line():
     for h in (g, path_graph(100_000), Graph(g.n, g.edges)):
         assert peak_bytes(serialize_edge_list, h) < 3 * len(serialize_edge_list(h))
         assert peak_bytes(to_dot, h) < 3 * len(to_dot(h))
+
+
+def test_graph_repr_holds_no_string_per_edge():
+    # repr writes its pairs through the edge-list writer's slices: on a
+    # decoded 100k-vertex path it peaks near 2.0 times its 1.6 MB text,
+    # 5.5 times with one string per edge.
+    g = decode(path_lettering(100_000))
+    assert peak_bytes(repr, g) < 2.5 * len(repr(g))
 
 
 def test_induced_subgraph_builds_no_edge_set():

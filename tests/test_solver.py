@@ -36,14 +36,7 @@ from naive_oracle import (
     oracle_lettericity,
     prefix_liveness,
 )
-
-
-@st.composite
-def small_graphs(draw, min_n=1, max_n=6):
-    n = draw(st.integers(min_n, max_n))
-    all_pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
-    edges = frozenset(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else frozenset()
-    return Graph(n, edges)
+from strategies import graphs
 
 
 def test_decision_examples():
@@ -194,7 +187,7 @@ def test_agrees_with_naive_oracle_up_to_four_vertices():
 
 
 @settings(max_examples=60)
-@given(small_graphs(), st.integers(1, 6))
+@given(graphs(min_n=1, max_n=6), st.integers(1, 6))
 def test_witnesses_are_sound(g, k):
     w = is_k_letterable(g, min(k, g.n))
     if w is not None:
@@ -203,7 +196,7 @@ def test_witnesses_are_sound(g, k):
 
 
 @settings(max_examples=60)
-@given(small_graphs())
+@given(graphs(min_n=1, max_n=6))
 def test_letterable_stays_letterable_with_more_letters(g):
     k, _ = lettericity_exact(g)
     for bigger in range(k, g.n + 1):
@@ -213,7 +206,7 @@ def test_letterable_stays_letterable_with_more_letters(g):
 
 
 @settings(max_examples=40)
-@given(small_graphs(max_n=5), st.randoms(use_true_random=False))
+@given(graphs(min_n=1, max_n=5), st.randoms(use_true_random=False))
 def test_lettericity_is_isomorphism_invariant(g, rnd):
     perm = list(range(1, g.n + 1))
     rnd.shuffle(perm)
@@ -472,7 +465,7 @@ def test_recorded_completion_is_a_lettering():
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_graphs(max_n=7), st.integers(1, 7))
+@given(graphs(min_n=1, max_n=7), st.integers(1, 7))
 def test_recorded_completion_is_a_lettering_of_labelled_graphs(g, k):
     # Also below the root: along the walk, each first child whose search
     # passes records a completion that keeps its prefix.
@@ -669,7 +662,7 @@ def test_walk_finds_the_first_lettering():
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_graphs(max_n=7), st.integers(0, 7))
+@given(graphs(min_n=1, max_n=7), st.integers(0, 7))
 def test_walk_finds_the_first_lettering_of_labelled_graphs(g, k):
     k = min(k, g.n)
     assert _first(g, k) == _reference_first(g, k)
